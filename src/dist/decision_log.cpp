@@ -48,8 +48,10 @@ std::size_t DecisionLog::checkpoint() {
         }
       }
     }
-    if (!complete) continue;
-    if (log_.remove_record(d.gid)) ++removed;
+    // Concurrent checkpoints can both find a decision fully acked; only
+    // the caller whose remove_record actually removed it counts it.
+    if (!complete || !log_.remove_record(d.gid)) continue;
+    ++removed;
     const std::scoped_lock lock(mu_);
     acks_.erase(d.gid);
     ++stats_.truncated;

@@ -66,6 +66,9 @@ class DecisionLog {
     log_.set_force_delay(delay);
   }
 
+  /// Routes the log's force latency through a deterministic scheduler.
+  void set_wait_policy(WaitPolicy* policy) { log_.set_wait_policy(policy); }
+
   /// Force-writes one commit decision before delivery. Returns false if
   /// an injected force failure lost it — nothing is stable then, and the
   /// coordinator must abort the transaction globally (it never delivered
@@ -77,7 +80,9 @@ class DecisionLog {
   void ack(ActivityId gid, std::size_t site_index);
 
   /// Truncates every decision all of whose participants have
-  /// acknowledged. Returns the number removed.
+  /// acknowledged. Returns the number this call removed; concurrent
+  /// callers (2PCs finishing together) each truncate and count a
+  /// decision at most once between them.
   std::size_t checkpoint();
 
   /// The decision timestamp for `gid`, if a stable decision exists.

@@ -6,6 +6,8 @@
 #include <utility>
 
 #include "common/errors.h"
+#include "common/scope_guard.h"
+#include "dsched/wait_policy.h"
 #include "obs/metrics_registry.h"
 
 namespace argus {
@@ -49,9 +51,12 @@ DistRuntime::DistRuntime(DistOptions options) : options_(options) {
   }
   sites_.reserve(options_.sites);
   for (std::size_t i = 0; i < options_.sites; ++i) {
-    sites_.push_back(std::make_unique<Site>(
-        i, options_.sites, options_.recorder, options_.object_id_stride));
+    sites_.push_back(std::make_unique<Site>(i, options_.sites,
+                                            options_.recorder,
+                                            options_.object_id_stride,
+                                            options_.wait_policy));
   }
+  decision_log_.set_wait_policy(options_.wait_policy);
 }
 
 DistRuntime::~DistRuntime() = default;
@@ -354,8 +359,8 @@ void DistRuntime::commit_read_only(DistTxn& t) {
 void DistRuntime::commit_one_phase(DistTxn& t, std::size_t site_index,
                                    DistTxn::Part& part) {
   // A single participant commits through its site's ordinary pipeline —
-  // no coordinator lock, which is what keeps disjoint per-site workloads
-  // scaling with the site count.
+  // no coordinator step at all, which is what keeps disjoint per-site
+  // workloads scaling with the site count.
   t.finished_ = true;
   Site& s = *sites_[site_index];
   try {
@@ -371,28 +376,20 @@ void DistRuntime::commit_one_phase(DistTxn& t, std::size_t site_index,
 }
 
 void DistRuntime::commit_two_phase(DistTxn& t) {
-  const std::scoped_lock commit_lock(dist_commit_mu_);
-
+  coord_yield();
   // No coordinator, no 2PC: presumed abort only works while there is a
   // decision list to ask. Refuse up front, before any participant
   // prepares — an unprepared abort leaves nothing in doubt.
-  if (!coordinator_up()) {
+  const std::optional<std::uint64_t> epoch = enter_2pc(t.gid_);
+  if (!epoch.has_value()) {
     coord_unavailable_aborts_.fetch_add(1, std::memory_order_relaxed);
     abort_parts(t, AbortReason::kUnavailable);
     count_abort(AbortReason::kUnavailable);
     throw TransactionAborted(t.gid_, AbortReason::kUnavailable);
   }
-
-  {
-    const std::scoped_lock lock(catalog_mu_);
-    in_2pc_ = true;
-  }
-  {
-    // While this gid's decision is open, a recovering participant must
-    // keep its prepared record in doubt instead of presuming abort.
-    const std::scoped_lock lock(decisions_mu_);
-    inflight_gid_ = t.gid_;
-  }
+  // However this 2PC ends, it leaves the in-flight table (and, if it is
+  // the last one out, runs the catch-ups deferred behind it).
+  const auto leave = on_scope_exit([&] { leave_2pc(t.gid_); });
   FaultInjector* coord = coordinator_injector_.get();
 
   // A pinned coordinator crash before any prepare: a clean global abort
@@ -435,13 +432,8 @@ void DistRuntime::commit_two_phase(DistTxn& t) {
   }
 
   if (veto.has_value()) {
-    {
-      const std::scoped_lock lock(decisions_mu_);
-      inflight_gid_.reset();
-    }
     abort_parts(t, *veto);
     count_abort(*veto);
-    run_deferred_catchups();
     throw TransactionAborted(t.gid_, *veto);
   }
 
@@ -460,26 +452,26 @@ void DistRuntime::commit_two_phase(DistTxn& t) {
   // (write-ahead for the decision itself): that is what lets a
   // participant — or the coordinator — that fails from here on resolve
   // the in-doubt record later (presumed abort for everything not
-  // logged).
+  // logged). A coordinator that died since this 2PC entered (another
+  // 2PC's crash) must not decide: the outcome is presumed abort.
   tick_site_faults();
+  coord_yield();
+  if (!epoch_current(*epoch)) coordinator_died(t, std::nullopt);  // throws
   if (options_.durable_decisions &&
       !decision_log_.force_decision(t.gid_, decision, t.participants())) {
     // The decision force failed: nothing stable names the gid, so the
     // only safe outcome is a global abort — the coordinator must never
     // deliver a commit it could not remember.
-    {
-      const std::scoped_lock lock(decisions_mu_);
-      inflight_gid_.reset();
-    }
     abort_parts(t, AbortReason::kIoError);
     count_abort(AbortReason::kIoError);
-    run_deferred_catchups();
     throw TransactionAborted(t.gid_, AbortReason::kIoError);
   }
   {
+    // A crash between the epoch check and here loses the cache entry
+    // with the rest of the commit list; the stable decision survives
+    // for recover_coordinator() to replay.
     const std::scoped_lock lock(decisions_mu_);
-    decisions_.emplace(t.gid_, decision);
-    inflight_gid_.reset();
+    if (epoch_current(*epoch)) decisions_.emplace(t.gid_, decision);
   }
 
   // From here the transaction IS committed — the decision is stable
@@ -499,14 +491,22 @@ void DistRuntime::commit_two_phase(DistTxn& t) {
     return;
   }
 
-  // Phase 2: deliver. A participant that failed keeps its prepared
-  // record for recovery; one that failed and already recovered is
-  // resolved right here.
+  // Phase 2: deliver, in ascending site order — the order that keeps
+  // concurrent deliveries' turn waits acyclic (DESIGN.md §4.10). A
+  // participant that failed keeps its prepared record for recovery; one
+  // that failed and already recovered is resolved right here.
   bool crashed_mid_delivery = false;
   std::size_t delivered = 0;
   for (auto& [idx, part] : t.parts_) {
     if (delivered > 0 && coord != nullptr &&
         coord->on_coord_crash(FaultSite::kCoordMidDelivery)) {
+      crashed_mid_delivery = true;
+      break;
+    }
+    coord_yield();
+    if (!epoch_current(*epoch)) {
+      // Another 2PC's coordinator crash: stop delivering, exactly as if
+      // the crash had fired here.
       crashed_mid_delivery = true;
       break;
     }
@@ -561,12 +561,97 @@ void DistRuntime::commit_two_phase(DistTxn& t) {
 
   if (options_.durable_decisions) decision_log_.checkpoint();
   two_pc_commits_.fetch_add(1, std::memory_order_relaxed);
-  run_deferred_catchups();
+}
+
+std::optional<std::uint64_t> DistRuntime::enter_2pc(ActivityId gid) {
+  std::unique_lock lock(decisions_mu_);
+  // Catch-ups pending behind the in-flight 2PCs bar new entries until the
+  // table drains, so a continuous 2PC stream cannot starve them.
+  while (barrier_ || !deferred_catchup_.empty()) coord_wait(lock);
+  if (!coordinator_up()) return std::nullopt;
+  const std::uint64_t epoch = coord_epoch_.load(std::memory_order_relaxed);
+  inflight_.emplace(gid, epoch);
+  return epoch;
+}
+
+std::size_t DistRuntime::in_flight_2pcs() const {
+  const std::scoped_lock lock(decisions_mu_);
+  return inflight_.size();
+}
+
+void DistRuntime::leave_2pc(ActivityId gid) {
+  std::set<std::size_t> pending;
+  {
+    const std::scoped_lock lock(decisions_mu_);
+    inflight_.erase(gid);
+    if (inflight_.empty() && !barrier_) {
+      pending.swap(deferred_catchup_);
+      barrier_ = !pending.empty();
+    }
+  }
+  coord_notify();
+  if (pending.empty()) return;
+  run_catchups(pending);
+  release_exclusive();
+}
+
+void DistRuntime::acquire_exclusive() {
+  std::set<std::size_t> pending;
+  {
+    std::unique_lock lock(decisions_mu_);
+    while (barrier_) coord_wait(lock);
+    barrier_ = true;
+    while (!inflight_.empty()) coord_wait(lock);
+    pending.swap(deferred_catchup_);
+  }
+  run_catchups(pending);
+}
+
+void DistRuntime::release_exclusive() {
+  {
+    const std::scoped_lock lock(decisions_mu_);
+    barrier_ = false;
+  }
+  coord_notify();
+}
+
+void DistRuntime::run_catchups(const std::set<std::size_t>& pending) {
+  for (const std::size_t idx : pending) {
+    Site& s = *sites_[idx];
+    if (!s.up()) continue;  // failed again; its next recovery catches up
+    if (!catch_up(s)) s.set_up(false);
+  }
+}
+
+void DistRuntime::coord_wait(std::unique_lock<std::mutex>& lock) {
+  // Bounded rounds, like every other wait in the runtime; the callers
+  // loop on their own predicates.
+  if (WaitPolicy* policy = options_.wait_policy) {
+    policy->wait_round(LaneHint{WaitPoint::kCoordinator}, &coord_cv_, lock,
+                       coord_cv_, std::chrono::microseconds(2000));
+  } else {
+    coord_cv_.wait_for(lock, std::chrono::milliseconds(2));
+  }
+}
+
+void DistRuntime::coord_notify() {
+  coord_cv_.notify_all();
+  if (WaitPolicy* policy = options_.wait_policy) policy->notify(&coord_cv_);
+}
+
+void DistRuntime::coord_yield() {
+  if (WaitPolicy* policy = options_.wait_policy) {
+    policy->yield(LaneHint{WaitPoint::kCoordinator});
+  }
 }
 
 void DistRuntime::coordinator_died(DistTxn& t,
                                    std::optional<Timestamp> decided) {
-  crash_coordinator();
+  if (!crash_coordinator()) {
+    // Already down: another 2PC's crash (or an external one) ended this
+    // run.
+    coord_epoch_ends_.fetch_add(1, std::memory_order_relaxed);
+  }
   t.finished_ = true;
   for (auto& [idx, part] : t.parts_) {
     if (part.delivered) continue;  // already committed locally
@@ -586,7 +671,6 @@ void DistRuntime::coordinator_died(DistTxn& t,
       if (s.up()) absorb_from(t, s);
     }
   }
-  run_deferred_catchups();
   if (!decided.has_value()) {
     count_abort(AbortReason::kUnavailable);
     throw TransactionAborted(t.gid_, AbortReason::kUnavailable);
@@ -729,14 +813,16 @@ bool DistRuntime::recover(std::size_t site_index) {
   // (1a) Determine the outcome of every in-doubt prepared record first —
   // read-only, so recovery can refuse atomically. The coordinator's
   // commit list is decisive while it is up: promote what it committed,
-  // presume abort for the rest — except a record of the 2PC currently in
-  // flight, whose outcome is genuinely still open. With the coordinator
-  // down, the cooperative termination protocol queries surviving peers'
-  // stable logs instead; a record nobody can resolve blocks the whole
-  // recovery — the site stays down and a later recover() retries
-  // (normally after the coordinator returns) — because recovering with
-  // an undecided record would let the catch-up copier apply catalog
-  // writes that a later promotion would replay a second time.
+  // presume abort for the rest — except a record of a 2PC in flight under
+  // the live coordinator, whose outcome is genuinely still open (a 2PC
+  // from before a coordinator crash can only end in coordinator_died).
+  // With the coordinator down, the cooperative termination protocol
+  // queries surviving peers' stable logs instead; a record nobody can
+  // resolve blocks the whole recovery — the site stays down and a later
+  // recover() retries (normally after the coordinator returns) — because
+  // recovering with an undecided record would let the catch-up copier
+  // apply catalog writes that a later promotion would replay a second
+  // time.
   struct Resolution {
     CommitLogRecord rec;
     std::optional<Timestamp> decided;
@@ -752,7 +838,8 @@ bool DistRuntime::recover(std::size_t site_index) {
       const auto it = decisions_.find(r.rec.txn);
       if (it != decisions_.end()) {
         r.decided = it->second;
-      } else if (inflight_gid_ == r.rec.txn) {
+      } else if (const auto open = inflight_.find(r.rec.txn);
+                 open != inflight_.end() && epoch_current(open->second)) {
         r.in_flight = true;
       }
     }
@@ -834,13 +921,14 @@ bool DistRuntime::recover(std::size_t site_index) {
   s.set_up(true);
 
   // (5) Catch-up: re-apply the catalog writes this site missed, through
-  // an ordinary local transaction. Deferred while a 2PC is in flight —
+  // an ordinary local transaction. Deferred while any 2PC is in flight —
   // its decision timestamp may be below a timestamp drawn here now,
-  // which would un-sort the per-object committed logs.
+  // which would un-sort the per-object committed logs. The last 2PC out
+  // runs it (leave_2pc), and no new 2PC enters until it has.
   bool defer = false;
   {
-    const std::scoped_lock lock(catalog_mu_);
-    if (in_2pc_) {
+    const std::scoped_lock lock(decisions_mu_);
+    if (!inflight_.empty()) {
       deferred_catchup_.insert(site_index);
       defer = true;
     }
@@ -899,20 +987,28 @@ bool DistRuntime::crash_coordinator() {
   }
   coord_crashes_.fetch_add(1, std::memory_order_relaxed);
   {
-    // The volatile commit list and the open-decision marker die with the
-    // coordinator; with durable_decisions the stable DecisionLog is the
-    // recovery source, without it the decisions are simply gone (the
-    // failure mode the log exists to close).
+    // The volatile commit list dies with the coordinator; with
+    // durable_decisions the stable DecisionLog is the recovery source,
+    // without it the decisions are simply gone (the failure mode the log
+    // exists to close). The new epoch closes every open decision: each
+    // in-flight 2PC sees it at its next step and ends in
+    // coordinator_died(), and until it has, its entry in the in-flight
+    // table keeps recover_coordinator() waiting.
     const std::scoped_lock lock(decisions_mu_);
     decisions_.clear();
-    inflight_gid_.reset();
+    coord_epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
   decision_log_.crash();
   return true;
 }
 
 bool DistRuntime::recover_coordinator() {
-  const std::scoped_lock commit_lock(dist_commit_mu_);
+  if (coordinator_up()) return false;
+  // Every 2PC that entered under the dead coordinator must have ended
+  // before the commit list is rebuilt: a late decision force is stable
+  // and has to be in the replay.
+  acquire_exclusive();
+  const auto release = on_scope_exit([this] { release_exclusive(); });
   if (coordinator_up()) return false;
   {
     const std::scoped_lock lock(decisions_mu_);
@@ -920,23 +1016,25 @@ bool DistRuntime::recover_coordinator() {
     for (const DecisionLog::Decision& d : decision_log_.replay()) {
       decisions_.emplace(d.gid, d.decision);
     }
-    inflight_gid_.reset();
+    coordinator_up_.store(true, std::memory_order_release);
   }
-  coordinator_up_.store(true, std::memory_order_release);
   coord_recovers_.fetch_add(1, std::memory_order_relaxed);
   // Re-sync the ack table lost in the crash from the participants' own
   // stable logs, and truncate what every participant already has.
-  if (options_.durable_decisions) sync_acks_locked();
+  if (options_.durable_decisions) sync_acks();
   return true;
 }
 
 std::size_t DistRuntime::run_termination_protocol() {
+  // The round runs with no 2PC in flight: every record it resolves has a
+  // final answer on the commit list or in a peer's log.
+  acquire_exclusive();
+  const auto release = on_scope_exit([this] { release_exclusive(); });
   std::set<std::size_t> fenced;
   {
     const std::scoped_lock lock(catalog_mu_);
     fenced = fenced_sites_;
   }
-  const std::scoped_lock commit_lock(dist_commit_mu_);
   std::size_t resolved = 0;
   if (!fenced.empty()) {
     termination_rounds_.fetch_add(1, std::memory_order_relaxed);
@@ -961,11 +1059,11 @@ std::size_t DistRuntime::run_termination_protocol() {
   // participants' own stable logs, and fully-acknowledged decisions are
   // truncated — which is what lets drivers assert the decision log drains
   // once every site is up.
-  if (coordinator_up() && options_.durable_decisions) sync_acks_locked();
+  if (coordinator_up() && options_.durable_decisions) sync_acks();
   return resolved;
 }
 
-void DistRuntime::sync_acks_locked() {
+void DistRuntime::sync_acks() {
   for (const DecisionLog::Decision& d : decision_log_.replay()) {
     for (const std::size_t p : d.participants) {
       if (p >= sites_.size() || !sites_[p]->up()) continue;
@@ -1030,20 +1128,6 @@ bool DistRuntime::catch_up(Site& s) {
   return true;
 }
 
-void DistRuntime::run_deferred_catchups() {
-  std::set<std::size_t> pending;
-  {
-    const std::scoped_lock lock(catalog_mu_);
-    in_2pc_ = false;
-    pending.swap(deferred_catchup_);
-  }
-  for (const std::size_t idx : pending) {
-    Site& s = *sites_[idx];
-    if (!s.up()) continue;  // failed again; its next recovery catches up
-    if (!catch_up(s)) s.set_up(false);
-  }
-}
-
 void DistRuntime::set_fault_plan(const FaultPlan& plan) {
   // Coordinator injector: decides site fail/recover per liveness tick.
   // Its sequence source is the deployment-wide clock maximum, so fault
@@ -1091,13 +1175,13 @@ void DistRuntime::tick_site_faults() {
   if (!coordinator_up()) {
     bool in_2pc = false;
     {
-      const std::scoped_lock lock(catalog_mu_);
-      in_2pc = in_2pc_;
+      const std::scoped_lock lock(decisions_mu_);
+      in_2pc = !inflight_.empty();
     }
-    // recover_coordinator() takes dist_commit_mu_, which the 2PC holds
-    // when it ticks between protocol steps — but the coordinator cannot
-    // be down mid-2PC anyway (its death ends the 2PC), so the guard is
-    // belt and braces.
+    // recover_coordinator() waits for the in-flight table to drain, so
+    // it must not run from a tick inside a 2PC — and the coordinator can
+    // be down mid-2PC: another thread's crash_coordinator() leaves every
+    // in-flight 2PC running until its next epoch check.
     if (!in_2pc && inj->on_coord_recover()) recover_coordinator();
   }
 }
@@ -1213,6 +1297,7 @@ DistStats DistRuntime::stats() const {
   out.coord_recovers = coord_recovers_.load(std::memory_order_relaxed);
   out.coord_unavailable_aborts =
       coord_unavailable_aborts_.load(std::memory_order_relaxed);
+  out.coord_epoch_ends = coord_epoch_ends_.load(std::memory_order_relaxed);
   const DecisionLog::Stats dl = decision_log_.stats();
   out.decisions_logged = dl.logged;
   out.decision_force_failures = dl.force_failures;
@@ -1270,6 +1355,8 @@ void DistRuntime::register_metrics(MetricsRegistry& registry) {
        "counter"},
       {"argus_dist_coord_unavailable_aborts_total",
        "2PC attempts refused because the coordinator was down", "counter"},
+      {"argus_dist_coord_epoch_ends_total",
+       "In-flight 2PCs ended by another 2PC's coordinator crash", "counter"},
       {"argus_dist_decisions_logged_total",
        "Commit decisions force-written to the decision log", "counter"},
       {"argus_dist_decision_force_failures_total",
@@ -1323,6 +1410,7 @@ void DistRuntime::register_metrics(MetricsRegistry& registry) {
     add("argus_dist_coord_recovers_total", s.coord_recovers);
     add("argus_dist_coord_unavailable_aborts_total",
         s.coord_unavailable_aborts);
+    add("argus_dist_coord_epoch_ends_total", s.coord_epoch_ends);
     add("argus_dist_decisions_logged_total", s.decisions_logged);
     add("argus_dist_decision_force_failures_total",
         s.decision_force_failures);

@@ -39,8 +39,11 @@
 //     participant that fails between prepare and delivery resolves its
 //     in-doubt record at recovery: promote+replay if the gid is logged,
 //     drop if not. Single-participant transactions take the ordinary
-//     one-phase pipeline — no coordinator lock — which is what keeps
-//     disjoint per-site workloads scaling (bench_distributed).
+//     one-phase pipeline, which is what keeps disjoint per-site
+//     workloads scaling (bench_distributed). 2PCs from different client
+//     threads run concurrently: no lock is held across a force, and the
+//     coordinator tracks every open protocol run in one per-gid
+//     in-flight table (DESIGN.md §4.10, "Concurrent coordination").
 //
 //   * Coordinator failover. The coordinator itself is failable:
 //     crash_coordinator() (or a pinned kCoord* fault at any 2PC protocol
@@ -80,12 +83,24 @@
 //     write commits to them post-recovery.
 //
 // Threading: transactions are single-threaded objects; DistRuntime
-// itself may be driven from many threads (the benchmark runs a thread
-// per site over disjoint shards). fail/recover/tick are coordinator
-// operations — drive them from one thread (the sweep's).
+// itself may be driven from many threads, and commits — one-phase and
+// 2PC alike — run concurrently. The coordinator's only waits are the
+// 2PC entry barrier and the in-flight-table drain in
+// recover_coordinator() / run_termination_protocol(); both go through
+// the deployment's WaitPolicy when one is set. crash_coordinator() may
+// fire from any thread while 2PCs are in flight: each 2PC recorded the
+// coordinator epoch at entry and ends through coordinator_died() when it
+// sees the epoch move. fail/recover/tick are liveness operations — drive
+// them from one thread (the sweep's). recover() may run under other
+// threads' in-flight 2PCs (its catch-up waits for them), but not while
+// another thread executes a transaction writing the recovering site's
+// replicated variables: a writer that pinned its targets without the
+// site and commits after the catch-up would leave that copy behind
+// (DESIGN.md §4.10).
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -108,6 +123,7 @@
 namespace argus {
 
 class MetricsRegistry;
+class WaitPolicy;
 
 struct DistOptions {
   std::size_t sites{2};
@@ -132,6 +148,11 @@ struct DistOptions {
   /// a round) and the initial backoff, doubled per retry.
   std::uint32_t termination_max_retries{4};
   std::uint32_t termination_backoff_us{50};
+  /// Test seam for deterministic scheduling (src/dsched): every site
+  /// runtime runs in SchedMode::kDeterministic under this policy, and the
+  /// coordinator's own waits and scheduling points route through it.
+  /// nullptr (the default) = OS scheduling. Must outlive the DistRuntime.
+  WaitPolicy* wait_policy{nullptr};
 };
 
 struct DistStats {
@@ -153,6 +174,9 @@ struct DistStats {
   std::uint64_t coord_crashes{0};
   std::uint64_t coord_recovers{0};
   std::uint64_t coord_unavailable_aborts{0};  // 2PC refused: coordinator down
+  /// In-flight 2PCs ended by a coordinator crash they did not fire
+  /// themselves (they saw the coordinator epoch move).
+  std::uint64_t coord_epoch_ends{0};
   std::uint64_t decisions_logged{0};
   std::uint64_t decision_force_failures{0};
   std::uint64_t decisions_truncated{0};
@@ -332,6 +356,9 @@ class DistRuntime {
 
   [[nodiscard]] DecisionLog& decision_log() { return decision_log_; }
 
+  /// 2PCs between entry and exit right now (the in-flight table's size).
+  [[nodiscard]] std::size_t in_flight_2pcs() const;
+
   /// Attaches fault injection: a coordinator injector deciding site
   /// fail/recover per tick_site_faults() call, and per-site injectors
   /// (derived seeds; pinned crashes wired to fail(site)) for log, crash
@@ -425,11 +452,46 @@ class DistRuntime {
   /// attempt was lost.
   bool send_message(FaultSite channel);
 
-  /// The pinned coordinator crash fired mid-2PC: crash the coordinator,
-  /// fence every live undelivered prepared participant (fail it out of
-  /// the available set — its in-doubt volatile state must not serve
-  /// reads, and its prepared record is what the termination protocol
-  /// resolves) and abort the unprepared rest. If `decided` is set the
+  /// 2PC entry: waits while the barrier is up (a coordinator-exclusive
+  /// section, or catch-ups pending behind the in-flight 2PCs), then
+  /// registers `gid` in the in-flight table under the current coordinator
+  /// epoch, which it returns. nullopt if the coordinator is down.
+  std::optional<std::uint64_t> enter_2pc(ActivityId gid);
+
+  /// 2PC exit: unregisters `gid`. The last 2PC out runs the catch-ups
+  /// deferred behind the in-flight table, with the barrier raised.
+  void leave_2pc(ActivityId gid);
+
+  /// The coordinator alone: raises the barrier (no 2PC enters), waits for
+  /// the in-flight table to drain and runs any deferred catch-ups. Used
+  /// by recover_coordinator() and run_termination_protocol().
+  void acquire_exclusive();
+  void release_exclusive();
+
+  /// False once crash_coordinator() has moved the epoch past `epoch`.
+  [[nodiscard]] bool epoch_current(std::uint64_t epoch) const {
+    return coord_epoch_.load(std::memory_order_acquire) == epoch;
+  }
+
+  /// Runs the sites' catch-ups deferred while 2PCs were in flight.
+  /// Caller holds the barrier (or is the last 2PC out).
+  void run_catchups(const std::set<std::size_t>& pending);
+
+  /// One bounded wait round on coord_cv_ (through the WaitPolicy when
+  /// set); `lock` holds decisions_mu_.
+  void coord_wait(std::unique_lock<std::mutex>& lock);
+  void coord_notify();
+  /// A scheduling point between 2PC protocol steps (deterministic runs
+  /// only; no lock held).
+  void coord_yield();
+
+  /// The coordinator died mid-2PC — a pinned crash at this 2PC's step,
+  /// or any crash_coordinator() since this 2PC entered: crash the
+  /// coordinator (a no-op if it is already down), fence every live
+  /// undelivered prepared participant (fail it out of the available set
+  /// — its in-doubt volatile state must not serve reads, and its
+  /// prepared record is what the termination protocol resolves) and
+  /// abort the unprepared rest. If `decided` is set the
   /// decision was already forced — the transaction IS committed and the
   /// caller returns normally; otherwise this throws
   /// TransactionAborted(kUnavailable) (presumed abort: nothing stable
@@ -450,8 +512,8 @@ class DistRuntime {
 
   /// Re-syncs the decision log's volatile ack table from participants'
   /// stable logs (a promoted record at the participant == an ack), then
-  /// checkpoints. Caller holds dist_commit_mu_.
-  void sync_acks_locked();
+  /// checkpoints. Caller holds the barrier (acquire_exclusive).
+  void sync_acks();
 
   /// Commit-side resolution for a participant that failed and recovered
   /// mid-2PC: promote its still-in-doubt record, replay the effects, and
@@ -468,7 +530,6 @@ class DistRuntime {
   /// copier — the site is then marked down again (recovery is atomic; a
   /// later recover() retries).
   bool catch_up(Site& s);
-  void run_deferred_catchups();
 
   void bump_global_stamp(std::uint64_t v);
   void count_abort(AbortReason reason);
@@ -483,23 +544,32 @@ class DistRuntime {
   std::atomic<std::uint64_t> gid_counter_{0};
   std::atomic<std::uint64_t> global_stamp_{0};
 
-  /// Serializes multi-participant commits (and the liveness churn the
-  /// 2PC interleaves); one-phase commits never take it.
-  std::mutex dist_commit_mu_;
-  bool in_2pc_{false};  // guarded by catalog_mu_ (recover() reads it)
-
+  /// Guards the coordinator's volatile state: the commit list, the
+  /// in-flight table, the deferred catch-ups and the entry barrier.
+  /// Never held across a force or a call into a site.
   mutable std::mutex decisions_mu_;
+  std::condition_variable coord_cv_;  // table drained / barrier lowered
   /// The volatile commit list (presumed abort) — now a cache over
   /// decision_log_ when durable_decisions is on: lost at
   /// crash_coordinator(), rebuilt by recover_coordinator().
   std::map<ActivityId, Timestamp> decisions_;
-  std::optional<ActivityId> inflight_gid_;     // guarded by decisions_mu_
+  /// Every 2PC between entry and exit, with the coordinator epoch it
+  /// entered under. A gid here under the current epoch and not on the
+  /// commit list is an open decision: a recovering participant keeps its
+  /// prepared record in doubt. Any entry at all defers catch-ups.
+  std::map<ActivityId, std::uint64_t> inflight_;
+  /// Sites whose catch-up waits for the in-flight table to drain.
+  std::set<std::size_t> deferred_catchup_;
+  /// Raised while the coordinator runs alone (deferred catch-ups,
+  /// recover_coordinator, run_termination_protocol): no 2PC enters.
+  bool barrier_{false};
+  /// Bumped (under decisions_mu_) by every crash_coordinator().
+  std::atomic<std::uint64_t> coord_epoch_{0};
 
   DecisionLog decision_log_;
   std::atomic<bool> coordinator_up_{true};
 
-  mutable std::mutex catalog_mu_;  // placement catalog + deferred catch-ups
-  std::set<std::size_t> deferred_catchup_;
+  mutable std::mutex catalog_mu_;  // placement catalog + fenced sites
   /// Sites failed by fence(): down because a coordinator crash (or
   /// exhausted decide retries) stranded their prepared state, not by the
   /// fault plan's site churn. run_termination_protocol() recovers them
@@ -528,6 +598,7 @@ class DistRuntime {
   std::atomic<std::uint64_t> coord_crashes_{0};
   std::atomic<std::uint64_t> coord_recovers_{0};
   std::atomic<std::uint64_t> coord_unavailable_aborts_{0};
+  std::atomic<std::uint64_t> coord_epoch_ends_{0};
   std::atomic<std::uint64_t> msgs_lost_{0};
   std::atomic<std::uint64_t> msg_delays_{0};
   std::atomic<std::uint64_t> termination_rounds_{0};

@@ -31,9 +31,15 @@ namespace argus {
 
 class Site {
  public:
+  /// A non-null `policy` runs the site's runtime under deterministic
+  /// scheduling (SchedMode::kDeterministic).
   Site(std::size_t index, std::size_t total_sites,
-       Runtime::RecorderMode recorder_mode, std::uint64_t object_id_stride)
-      : index_(index), runtime_(recorder_mode) {
+       Runtime::RecorderMode recorder_mode, std::uint64_t object_id_stride,
+       WaitPolicy* policy = nullptr)
+      : index_(index),
+        runtime_(recorder_mode,
+                 policy != nullptr ? SchedMode::kDeterministic : SchedMode::kOs,
+                 policy) {
     runtime_.tm().clock().set_domain(index, total_sites);
     runtime_.set_object_id_base(index * object_id_stride);
   }

@@ -28,9 +28,9 @@
 //                      activations are scheduled too; daemons do not keep
 //                      the scheduler running and free-run after release.
 //
-// Every call site in core/, txn/ and obs/ null-checks its policy pointer
-// and keeps the existing code path verbatim when it is null — that is the
-// SchedMode::kOs guarantee.
+// Every call site in core/, txn/, obs/, sched/ and dist/ null-checks its
+// policy pointer and keeps the existing code path verbatim when it is
+// null — that is the SchedMode::kOs guarantee.
 #pragma once
 
 #include <chrono>
@@ -59,6 +59,7 @@ enum class WaitPoint : int {
   kLogSleep,          // StableLog simulated force latency / retry backoff
   kSentinelWindow,    // AtomicitySentinel between drain windows
   kExecutorQueue,     // TxnExecutor worker waiting for a task (or drain)
+  kCoordinator,       // DistRuntime 2PC step, entry barrier or table drain
 };
 
 [[nodiscard]] std::string to_string(WaitPoint point);

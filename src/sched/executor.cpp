@@ -1,6 +1,7 @@
 #include "sched/executor.h"
 
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "dsched/wait_policy.h"
@@ -99,6 +100,9 @@ void TxnExecutor::run_task(const Task& task) {
   // The rng persists across retries: a retried transaction continues the
   // task's random stream, as the old per-thread driver loop did.
   SplitMix64 rng(task.seed);
+  // Every attempt carries the first attempt's deadlock priority, so a
+  // victim ages instead of retrying as the youngest forever.
+  std::optional<std::uint64_t> priority;
   Outcome out;
   out.label = task.label;
   const auto t0 = SteadyClock::now();
@@ -107,6 +111,13 @@ void TxnExecutor::run_task(const Task& task) {
     if (attempt > 0) stats_->retries.fetch_add(1, std::memory_order_relaxed);
     ++out.attempts;
     auto txn = rt_.tm().begin(task.kind);
+    if (priority.has_value()) {
+      txn->inherit_priority(*priority);
+    } else {
+      priority = txn->priority();
+      const std::scoped_lock lock(mu_);
+      inflight_priorities_.insert(*priority);
+    }
     if (options_.timestamp_skew_us > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(rng.below(
           static_cast<std::uint64_t>(options_.timestamp_skew_us) + 1)));
@@ -119,14 +130,29 @@ void TxnExecutor::run_task(const Task& task) {
     } catch (const TransactionAborted& e) {
       rt_.tm().abort(txn, e.reason());
       ++out.aborts[e.reason()];
+      if (e.reason() == AbortReason::kDeadlock &&
+          attempt < options_.max_retries) {
+        await_older_tasks(*priority);
+      }
       if (e.reason() == AbortReason::kValidation) {
         stats_->validation_aborts.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
   if (!out.committed) stats_->gave_up.fetch_add(1, std::memory_order_relaxed);
+  if (priority.has_value()) {
+    const std::scoped_lock lock(mu_);
+    inflight_priorities_.erase(*priority);
+  }
   out.latency_us = micros_since(t0);
   if (on_complete_) on_complete_(out);
+}
+
+void TxnExecutor::await_older_tasks(std::uint64_t priority) {
+  std::unique_lock lock(mu_);
+  while (*inflight_priorities_.begin() < priority) {
+    wait_round(&idle_cv_, lock, idle_cv_);
+  }
 }
 
 void TxnExecutor::wait_round(const void* channel,

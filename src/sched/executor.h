@@ -11,6 +11,16 @@
 // losers all funnel through the same loop, so abort-and-retry costs are
 // measured uniformly across modes (bench_cc_modes, E15).
 //
+// Starvation freedom under deadlock retries: every attempt of a task
+// carries its first attempt's deadlock priority (Transaction::priority),
+// and a task that lost a waits-for cycle re-begins only once every older
+// task in the pool has completed. The retry is then the oldest task in
+// flight, which the detector never chooses again, so a task loses at
+// most one cycle to its pool-mates however the threads are scheduled —
+// without that wait a victim could burn its whole budget re-closing the
+// same cycle while the older winner sat preempted. The wait is acyclic:
+// it only ever waits for older tasks, and the waiter holds no locks.
+//
 // Scheduling integration: the queue handoff (worker waiting for a task,
 // drain() waiting for completion) routes through the runtime's
 // WaitPolicy at WaitPoint::kExecutorQueue, so a deterministic run owns
@@ -31,6 +41,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -101,6 +112,9 @@ class TxnExecutor {
  private:
   void worker_loop();
   void run_task(const Task& task);
+  /// Deadlock restart discipline: blocks until no task older than
+  /// `priority` is in flight (the caller's own entry is in the set).
+  void await_older_tasks(std::uint64_t priority);
   void wait_round(const void* channel, std::unique_lock<std::mutex>& lock,
                   std::condition_variable& cv);
   void notify(std::condition_variable& cv);
@@ -118,6 +132,9 @@ class TxnExecutor {
   std::uint64_t completed_{0};       // guarded by mu_
   bool stop_{false};                 // guarded by mu_
   int workers_running_{0};           // guarded by mu_
+  /// First-attempt priorities of the tasks between their first begin
+  /// and completion.
+  std::set<std::uint64_t> inflight_priorities_;  // guarded by mu_
   std::vector<std::thread> owned_workers_;
 };
 

@@ -11,6 +11,7 @@
 #include "core/runtime.h"
 #include "dsched/task_lane.h"
 #include "hist/wellformed.h"
+#include "sched/executor.h"
 #include "spec/adts/bank_account.h"
 #include "spec/adts/fifo_queue.h"
 
@@ -67,6 +68,64 @@ void bank_lane(Runtime& rt, const SchedCase& c,
       rt.abort(t);
     }
   }
+}
+
+/// Executor mode (SchedCase::max_retries > 0): the lanes are the workers
+/// of a TxnExecutor with that retry budget, fed by a feeder lane with
+/// lanes * txns_per_lane tasks — every fourth a whole-bank audit, the
+/// rest transfers — the integration suite's mix, in which long audits
+/// and transfers keep closing waits-for cycles. Returns the number of
+/// tasks that exhausted their budget.
+std::uint64_t run_executor_lanes(
+    DeterministicScheduler& sched, Runtime& rt, const SchedCase& c,
+    const std::vector<std::shared_ptr<ManagedObject>>& objects,
+    FaultInjector* injector) {
+  ExecutorOptions options;
+  options.workers = c.lanes;
+  options.max_retries = c.max_retries;
+  options.thread_factory = [&sched](const std::string& name,
+                                    std::function<void()> body) {
+    sched.spawn(name, std::move(body));
+  };
+  const std::size_t first_lane = sched.lane_count();
+  TxnExecutor pool(rt, options);
+  const TxnKind audit_kind = supports_snapshot_reads(c.protocol)
+                                 ? TxnKind::kReadOnly
+                                 : TxnKind::kUpdate;
+  sched.spawn("feeder", [&] {
+    const int tasks = c.lanes * c.txns_per_lane;
+    for (int k = 0; k < tasks; ++k) {
+      TxnExecutor::Task task;
+      task.seed = c.seed * 0x9e3779b97f4a7c15ULL + 101ULL +
+                  static_cast<std::uint64_t>(k);
+      if (k % 4 == 0) {
+        task.label = "audit";
+        task.kind = audit_kind;
+        task.body = [&objects](Transaction& txn, SplitMix64&) {
+          for (const auto& o : objects) o->invoke(txn, account::balance());
+        };
+      } else {
+        task.label = "transfer";
+        task.body = [&objects, injector](Transaction& txn, SplitMix64& rng) {
+          if (injector != nullptr && injector->crashes_fired() > 0) return;
+          const std::size_t n = objects.size();
+          const std::size_t from = rng.below(n);
+          const std::size_t to =
+              n > 1 ? (from + 1 + rng.below(n - 1)) % n : from;
+          const std::int64_t amount = rng.range(1, 3);
+          if (objects[from]->invoke(txn, account::withdraw(amount))
+                  .is_unit()) {
+            objects[to]->invoke(txn, account::deposit(amount));
+          }
+        };
+      }
+      pool.submit(std::move(task));
+    }
+    pool.shutdown();  // drain, then stop the worker lanes
+  });
+  sched.await_lanes(first_lane + static_cast<std::size_t>(c.lanes) + 1);
+  sched.run();
+  return pool.stats().gave_up;
 }
 
 /// One lane's queue workload: enqueue a lane-unique value, sometimes
@@ -159,19 +218,27 @@ SchedCaseResult run_with_source(const SchedCase& c, ScheduleSource& source) {
     sched.await_lanes(1);
   }
 
-  const std::size_t daemon_lanes = sched.lane_count();
-  for (int lane = 0; lane < c.lanes; ++lane) {
-    sched.spawn("lane" + std::to_string(lane), [&rt, &c, &objects, injector,
-                                                bank, lane] {
-      if (bank) {
-        bank_lane(rt, c, objects, injector.get(), lane);
-      } else {
-        queue_lane(rt, c, objects, injector.get(), lane);
-      }
-    });
+  if (c.max_retries > 0 && bank) {
+    const std::uint64_t gave_up =
+        run_executor_lanes(sched, rt, c, objects, injector.get());
+    probe(gave_up == 0, "starvation: " + std::to_string(gave_up) +
+                            " task(s) exhausted max_retries " +
+                            std::to_string(c.max_retries));
+  } else {
+    const std::size_t daemon_lanes = sched.lane_count();
+    for (int lane = 0; lane < c.lanes; ++lane) {
+      sched.spawn("lane" + std::to_string(lane), [&rt, &c, &objects, injector,
+                                                  bank, lane] {
+        if (bank) {
+          bank_lane(rt, c, objects, injector.get(), lane);
+        } else {
+          queue_lane(rt, c, objects, injector.get(), lane);
+        }
+      });
+    }
+    sched.await_lanes(daemon_lanes + static_cast<std::size_t>(c.lanes));
+    sched.run();
   }
-  sched.await_lanes(daemon_lanes + static_cast<std::size_t>(c.lanes));
-  sched.run();
 
   result.schedule = sched.schedule_string();
   result.steps = sched.steps();
@@ -316,6 +383,7 @@ std::string to_config_string(const SchedCase& c) {
   out << "initial_balance " << c.initial_balance << "\n";
   out << "live_sentinel " << (c.live_sentinel ? 1 : 0) << "\n";
   out << "weaken_admission " << (c.weaken_admission ? 1 : 0) << "\n";
+  out << "max_retries " << c.max_retries << "\n";
   out << "force_fail_permille " << c.fault.force_fail_permille << "\n";
   out << "force_max_retries " << c.fault.force_max_retries << "\n";
   out << "force_retry_backoff_us " << c.fault.force_retry_backoff_us << "\n";
@@ -421,6 +489,8 @@ bool parse_sched_case(const std::string& text, SchedCase* out,
       c.live_sentinel = n != 0;
     } else if (key == "weaken_admission") {
       c.weaken_admission = n != 0;
+    } else if (key == "max_retries") {
+      c.max_retries = static_cast<int>(n);
     } else if (key == "force_fail_permille") {
       c.fault.force_fail_permille = static_cast<std::uint32_t>(n);
     } else if (key == "force_max_retries") {

@@ -60,6 +60,12 @@ struct SchedCase {
   /// under it must FAIL certification; the explorer minimizes them.
   /// Only meaningful for adt=bank, protocol=dynamic.
   bool weaken_admission{false};
+  /// 0: each lane runs its transactions itself, one attempt each. > 0:
+  /// the lanes are TxnExecutor workers retrying every aborted task up to
+  /// this many times, over bank transfers mixed with whole-bank audits
+  /// (the integration suite's deadlock-prone mix; adt=bank only). Runs
+  /// where any task exhausts its budget fail certification (starvation).
+  int max_retries{0};
   FaultPlan fault;
   /// Recorded schedule to replay (kReplay); ignored otherwise.
   std::string schedule;

@@ -1,6 +1,7 @@
 #include "txn/deadlock.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace argus {
 
@@ -51,7 +52,10 @@ std::shared_ptr<Transaction> DeadlockDetector::add_wait(
     if (it == txns_.end()) return;
     auto t = it->second.lock();
     if (!t || !t->active() || t->doomed()) return;
-    if (!victim || t->id() > victim->id()) victim = std::move(t);
+    const auto age = [](const Transaction& x) {
+      return std::make_pair(x.priority(), x.id().value);
+    };
+    if (!victim || age(*t) > age(*victim)) victim = std::move(t);
   };
   consider(waiter->id());
   for (const auto& [id, edges] : edges_) {

@@ -5,7 +5,11 @@
 // "Because of the need to wait for locks, long read-only activities can be
 // quite prone to deadlock." We detect cycles eagerly on each new wait
 // edge and abort the youngest transaction in the cycle, which is what
-// makes the E3/E4 abort-rate comparisons measurable.
+// makes the E3/E4 abort-rate comparisons measurable. Age is
+// Transaction::priority(), which a TxnExecutor retry inherits from its
+// first attempt, so a victim ages instead of being reborn youngest (the
+// executor's restart discipline completes the starvation argument; see
+// sched/executor.h).
 #pragma once
 
 #include <memory>
@@ -24,9 +28,10 @@ class DeadlockDetector {
   DeadlockDetector() = default;
 
   /// Declares that `waiter` is blocked on each of `holders`. If that
-  /// closes a cycle, picks the youngest (largest-id) transaction in the
-  /// cycle, dooms it with AbortReason::kDeadlock, and returns it so the
-  /// caller can wake it; returns nullptr when no deadlock arises.
+  /// closes a cycle, picks the youngest transaction in the cycle (largest
+  /// priority, then largest id), dooms it with AbortReason::kDeadlock,
+  /// and returns it so the caller can wake it; returns nullptr when no
+  /// deadlock arises.
   std::shared_ptr<Transaction> add_wait(
       const std::shared_ptr<Transaction>& waiter,
       const std::vector<std::shared_ptr<Transaction>>& holders);

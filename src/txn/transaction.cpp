@@ -5,7 +5,7 @@
 namespace argus {
 
 Transaction::Transaction(ActivityId id, TxnKind kind, Timestamp start_ts)
-    : id_(id), kind_(kind), start_ts_(start_ts) {}
+    : id_(id), kind_(kind), start_ts_(start_ts), priority_(id.value) {}
 
 void Transaction::doom(AbortReason reason) {
   {

@@ -39,6 +39,18 @@ class Transaction : public std::enable_shared_from_this<Transaction> {
   [[nodiscard]] TxnKind kind() const { return kind_; }
   [[nodiscard]] bool read_only() const { return kind_ == TxnKind::kReadOnly; }
 
+  /// Deadlock-victim priority: lower is older, and the oldest member of a
+  /// waits-for cycle is never its victim. Defaults to the id, so a fresh
+  /// transaction is the youngest. A retry inherits the priority of its
+  /// logical transaction's first attempt (wait-die/wound-wait style), so
+  /// it ages instead of being reborn youngest and re-chosen forever.
+  [[nodiscard]] std::uint64_t priority() const {
+    return priority_.load(std::memory_order_relaxed);
+  }
+  void inherit_priority(std::uint64_t priority) {
+    priority_.store(priority, std::memory_order_relaxed);
+  }
+
   /// Timestamp chosen at initiation. Used as the serialization timestamp
   /// by static-atomic objects (all transactions) and by hybrid-atomic
   /// objects (read-only transactions only). Under the pipelined commit
@@ -104,6 +116,7 @@ class Transaction : public std::enable_shared_from_this<Transaction> {
   const ActivityId id_;
   const TxnKind kind_;
   const Timestamp start_ts_;
+  std::atomic<std::uint64_t> priority_;
   std::atomic<Timestamp> commit_ts_{kNoTimestamp};
   std::atomic<TxnState> state_{TxnState::kActive};
   std::atomic<bool> doomed_{false};

@@ -6,11 +6,17 @@
 // pipelines and stable logs.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/atomicity.h"
+#include "common/rng.h"
 #include "dist/dist_runtime.h"
 #include "hist/parse.h"
 #include "hist/wellformed.h"
@@ -655,6 +661,202 @@ TEST(DistRuntime, RegisterMetricsExportsDistCounters) {
             std::string::npos)
       << after;
 }
+
+TEST(DecisionLog, ConcurrentCheckpointsTruncateEachDecisionOnce) {
+  // 2PCs that finish together checkpoint together: both may find the same
+  // decision fully acked, but only the caller that removes it may count
+  // it, or `truncated` overtakes `logged`.
+  constexpr int kDecisions = 64;
+  constexpr int kThreads = 8;
+  for (int round = 0; round < 20; ++round) {
+    DecisionLog log;
+    for (int i = 0; i < kDecisions; ++i) {
+      const ActivityId gid{static_cast<std::uint64_t>(i + 1)};
+      ASSERT_TRUE(log.force_decision(gid, static_cast<Timestamp>(i + 1),
+                                     {0, 1}));
+      log.ack(gid, 0);
+      log.ack(gid, 1);
+    }
+    std::atomic<std::size_t> removed{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        removed.fetch_add(log.checkpoint(), std::memory_order_relaxed);
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& th : threads) th.join();
+    const DecisionLog::Stats st = log.stats();
+    EXPECT_EQ(st.logged, static_cast<std::uint64_t>(kDecisions));
+    EXPECT_EQ(st.truncated, st.logged);
+    EXPECT_EQ(removed.load(), static_cast<std::size_t>(kDecisions));
+    EXPECT_EQ(log.outstanding(), 0u);
+  }
+}
+
+// --- concurrent 2PC over OS threads --------------------------------------
+
+constexpr int kConcurrentThreads = 4;
+constexpr int kConcurrentTxns = 40;
+constexpr std::int64_t kConcurrentBalance = 1000;
+
+// A deployment with 2*sites sharded accounts (round-robin, so two per
+// site): random pairs give local (one-phase) and cross-site (2PC)
+// transfers. Every log force costs 50us so 2PCs overlap in wall time.
+std::unique_ptr<DistRuntime> make_concurrent_bank(
+    std::size_t sites, std::vector<std::string>* names) {
+  DistOptions options;
+  options.sites = sites;
+  options.protocol = Protocol::kHybrid;
+  options.recorder = Runtime::RecorderMode::kFlight;
+  auto dist = std::make_unique<DistRuntime>(options);
+  for (std::size_t i = 0; i < 2 * sites; ++i) {
+    names->push_back("a" + std::to_string(i));
+    dist->create_sharded<BankAccountAdt>(names->back());
+  }
+  for (std::size_t i = 0; i < sites; ++i) {
+    dist->site(i).tm().log().set_force_delay(std::chrono::microseconds(50));
+  }
+  dist->decision_log().set_force_delay(std::chrono::microseconds(50));
+  const auto setup = dist->begin();
+  for (const auto& name : *names) {
+    dist->write(*setup, name, account::deposit(kConcurrentBalance));
+  }
+  dist->commit(setup);
+  return dist;
+}
+
+// kConcurrentThreads clients, each running kConcurrentTxns transfers
+// between random accounts; `after_txn(thread, i)` runs after each one.
+template <typename Hook>
+void run_concurrent_transfers(DistRuntime& dist,
+                              const std::vector<std::string>& names,
+                              Hook after_txn) {
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kConcurrentThreads; ++c) {
+    clients.emplace_back([&, c] {
+      SplitMix64 rng(static_cast<std::uint64_t>(c) * 7919 + 1);
+      for (int i = 0; i < kConcurrentTxns; ++i) {
+        const std::size_t from = rng.below(names.size());
+        const std::size_t to =
+            (from + 1 + rng.below(names.size() - 1)) % names.size();
+        const std::int64_t amount = rng.range(1, 9);
+        const auto t = dist.begin();
+        try {
+          if (dist.write(*t, names[from], account::withdraw(amount))
+                  .is_unit()) {
+            dist.write(*t, names[to], account::deposit(amount));
+          }
+          dist.commit(t);
+        } catch (const TransactionAborted&) {
+          dist.abort(t);  // no-op if commit already aborted it
+        }
+        after_txn(c, i);
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+}
+
+// The concurrent run's certificate: the decision log drains after a
+// termination round, the merged history is hybrid atomic, money is
+// conserved, and every global transaction committed at all of the sites
+// it ran at or at none.
+void certify_concurrent(DistRuntime& dist,
+                        const std::vector<std::string>& names) {
+  dist.run_termination_protocol();
+  EXPECT_EQ(dist.decision_log().outstanding(), 0u);
+  for (std::size_t i = 0; i < dist.site_count(); ++i) {
+    EXPECT_TRUE(dist.site(i).up()) << "site " << i;
+    EXPECT_TRUE(dist.site(i).tm().log().prepared_records().empty())
+        << "site " << i << " still holds in-doubt records";
+  }
+  certify_merged(dist);
+
+  std::int64_t total = 0;
+  std::size_t answered = 0;
+  for (const auto& entry : dist.dump(account::balance())) {
+    total += entry.value.as_int();
+    ++answered;
+  }
+  EXPECT_EQ(answered, names.size());
+  EXPECT_EQ(total, static_cast<std::int64_t>(names.size()) *
+                       kConcurrentBalance);
+
+  // Site of an object: ObjectIds are allocated from per-site ranges of
+  // DistOptions::object_id_stride (1000).
+  std::map<ActivityId, std::set<std::uint64_t>> ran_at;
+  std::map<ActivityId, std::set<std::uint64_t>> committed_at;
+  const History merged = dist.merged_history();
+  for (const Event& e : merged.events()) {
+    const std::uint64_t site = e.object.value / 1000;
+    ran_at[e.activity].insert(site);
+    if (e.kind == EventKind::kCommit) committed_at[e.activity].insert(site);
+  }
+  for (const auto& [gid, sites] : committed_at) {
+    EXPECT_EQ(sites, ran_at[gid]) << to_string(gid)
+                                  << " committed at only some participants";
+  }
+}
+
+class ConcurrentTwoPc : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ConcurrentTwoPc, ClientThreadsCommitAtomicallyAcrossSites) {
+  std::vector<std::string> names;
+  const auto dist = make_concurrent_bank(GetParam(), &names);
+  run_concurrent_transfers(*dist, names, [](int, int) {});
+  const DistStats st = dist->stats();
+  EXPECT_GT(st.two_pc_commits, 0u);
+  EXPECT_GT(st.one_phase_commits, 0u);
+  EXPECT_EQ(st.coord_crashes, 0u);
+  certify_concurrent(*dist, names);
+}
+
+TEST_P(ConcurrentTwoPc, CoordinatorCrashEndsEveryInFlightTwoPc) {
+  // One client crashes the coordinator halfway through its run, while the
+  // other clients' 2PCs are preparing, deciding and delivering. Each of
+  // those sees the epoch move at its next step and ends as a presumed
+  // abort (undecided) or a stranded commit (decided, participants
+  // fenced); later 2PCs are refused until recovery.
+  // The crash can still miss (the open 2PC may be past its last step);
+  // rerun (each run fully certified) until one has ended another
+  // client's 2PC mid-flight.
+  bool ended_in_flight = false;
+  for (int run = 0; run < 5 && !ended_in_flight; ++run) {
+    std::vector<std::string> names;
+    const auto dist = make_concurrent_bank(GetParam(), &names);
+    run_concurrent_transfers(*dist, names, [&](int c, int i) {
+      if (c != 0 || i != kConcurrentTxns / 2) return;
+      // Aim for a moment when another client's 2PC is open.
+      for (int spin = 0; spin < 100'000 && dist->in_flight_2pcs() == 0;
+           ++spin) {
+        std::this_thread::yield();
+      }
+      dist->crash_coordinator();
+    });
+    EXPECT_FALSE(dist->coordinator_up());
+    const DistStats st = dist->stats();
+    EXPECT_EQ(st.coord_crashes, 1u);
+    ended_in_flight = st.coord_epoch_ends > 0;
+    EXPECT_TRUE(dist->recover_coordinator());
+    dist->run_termination_protocol();
+    for (std::size_t i = 0; i < dist->site_count(); ++i) {
+      if (!dist->site(i).up()) {
+        EXPECT_TRUE(dist->recover(i)) << "site " << i;
+      }
+    }
+    certify_concurrent(*dist, names);
+  }
+  EXPECT_TRUE(ended_in_flight)
+      << "no run crashed the coordinator under an in-flight 2PC";
+}
+
+INSTANTIATE_TEST_SUITE_P(Sites, ConcurrentTwoPc, ::testing::Values(2u, 3u),
+                         [](const auto& info) {
+                           return std::to_string(info.param) + "sites";
+                         });
 
 TEST(DistRuntime, UsageErrorsAreUsageErrors) {
   const auto distp = make_bank(2, Protocol::kHybrid, {"s0"}, {});

@@ -214,6 +214,7 @@ TEST(SchedCase, ConfigStringRoundTrips) {
   c.initial_balance = 7;
   c.live_sentinel = false;
   c.weaken_admission = true;
+  c.max_retries = 2;
   c.fault.force_fail_permille = 120;
   c.fault.crash_point = FaultSite::kMidApply;
   c.fault.crash_at_arrival = 3;

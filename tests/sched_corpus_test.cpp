@@ -1,11 +1,16 @@
 // Schedule-corpus replay: the checked-in configs in tests/corpus/sched/
-// are minimized failing schedules worth pinning forever — interleavings
-// on which a deliberately broken protocol (chaos admission) produces an
-// atomicity violation. Each must (a) still reproduce its violation when
-// replayed, and (b) reproduce its flight-recorder trace byte for byte on
-// a second run. If a corpus entry ever starts *passing*, the replay
-// machinery lost the interleaving; if its trace drifts, determinism
-// broke — both are regressions in the explorer itself.
+// are minimized schedules worth pinning forever, of two kinds:
+//
+//   * violation pins (weaken_admission 1) — interleavings on which a
+//     deliberately broken protocol (chaos admission) produces an
+//     atomicity violation. Each must still reproduce its violation: if
+//     one starts *passing*, the replay machinery lost the interleaving.
+//   * regression pins (weaken_admission 0) — interleavings on which the
+//     runtime itself once failed certification (e.g. deadlock-retry
+//     starvation). Each must now certify.
+//
+// Either way a second run must reproduce the flight-recorder trace byte
+// for byte; if it drifts, determinism broke.
 //
 // The binary doubles as the schedule minimization tool:
 //
@@ -49,20 +54,22 @@ std::vector<std::filesystem::path> corpus_files() {
 
 class SchedCorpus : public ::testing::TestWithParam<std::filesystem::path> {};
 
-TEST_P(SchedCorpus, StillFailsAndReplaysByteEqual) {
+TEST_P(SchedCorpus, PinnedVerdictHoldsAndReplaysByteEqual) {
   const auto path = GetParam();
   SchedCase c;
   std::string error;
   ASSERT_TRUE(parse_sched_case(read_file(path), &c, &error))
       << path << ": " << error;
-  ASSERT_TRUE(c.weaken_admission)
-      << path << ": corpus entries pin violations of the deliberately "
-                 "broken protocol; a passing config belongs elsewhere";
 
   const SchedCaseResult first = run_sched_case(c);
-  EXPECT_FALSE(first.ok)
-      << path << ": the pinned interleaving no longer reproduces its "
-                 "atomicity violation";
+  if (c.weaken_admission) {
+    EXPECT_FALSE(first.ok)
+        << path << ": the pinned interleaving no longer reproduces its "
+                   "atomicity violation";
+  } else {
+    EXPECT_TRUE(first.ok)
+        << path << ": the pinned regression is back:\n" << first.failure;
+  }
   ASSERT_FALSE(first.trace.empty());
 
   const SchedCaseResult second = run_sched_case(c);
@@ -83,7 +90,7 @@ INSTANTIATE_TEST_SUITE_P(Corpus, SchedCorpus,
                            return name;
                          });
 
-TEST(SchedCorpus, CorpusIsNotEmpty) { EXPECT_GE(corpus_files().size(), 3u); }
+TEST(SchedCorpus, CorpusIsNotEmpty) { EXPECT_GE(corpus_files().size(), 4u); }
 
 int minimize_main(const std::string& file) {
   SchedCase c;
