@@ -10,40 +10,10 @@ Value HybridBag::invoke(Transaction& txn, const Operation& op) {
   txn.ensure_active();
   txn.touch(this);
   sched_point(op);
-  if (txn.read_only()) return invoke_read_only(txn, op);
+  if (txn.read_only()) {
+    return read_snapshot<BagAdt>(txn, op, committed_, log_);
+  }
   return invoke_update(txn, op);
-}
-
-Value HybridBag::invoke_read_only(Transaction& txn, const Operation& op) {
-  if (!BagAdt::is_read_only(op)) {
-    throw UsageError("read-only transaction invoked mutator " + to_string(op) +
-                     " on " + name());
-  }
-  const Timestamp t = txn.start_ts();
-  const std::scoped_lock lock(mu_);
-  if (initiated_.insert(txn.id()).second) {
-    record(initiate(id(), txn.id(), t));
-  }
-  record(argus::invoke(id(), txn.id(), op));
-
-  // Snapshot below t by replaying the committed op log prefix.
-  BagAdt::State state;
-  for (const auto& [ts, logged] : log_) {
-    if (ts >= t) break;
-    for (auto& [result, next] : BagAdt::step(state, logged.op)) {
-      if (result == logged.result) {
-        state = std::move(next);
-        break;
-      }
-    }
-  }
-  const auto outcomes = BagAdt::step(state, op);
-  if (outcomes.empty()) {
-    throw UsageError("read-only operation " + to_string(op) +
-                     " not enabled at snapshot of " + name());
-  }
-  record(respond(id(), txn.id(), outcomes.front().first));
-  return outcomes.front().first;
 }
 
 Value HybridBag::invoke_update(Transaction& txn, const Operation& op) {
@@ -105,6 +75,10 @@ std::vector<std::shared_ptr<Transaction>> HybridBag::blockers(
 }
 
 void HybridBag::prepare(Transaction& txn) { txn.ensure_active(); }
+
+bool HybridBag::reads_snapshot(const Transaction& txn) const {
+  return txn.read_only();
+}
 
 void HybridBag::commit(Transaction& txn, Timestamp commit_ts) {
   const std::scoped_lock lock(mu_);

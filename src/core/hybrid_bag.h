@@ -27,7 +27,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,6 +44,7 @@ class HybridBag final : public ObjectBase {
 
   Value invoke(Transaction& txn, const Operation& op) override;
   void prepare(Transaction& txn) override;
+  [[nodiscard]] bool reads_snapshot(const Transaction& txn) const override;
   void commit(Transaction& txn, Timestamp commit_ts) override;
   void abort(Transaction& txn) override;
   [[nodiscard]] std::vector<LoggedOp> intentions_of(
@@ -63,7 +63,6 @@ class HybridBag final : public ObjectBase {
     std::map<std::int64_t, std::int64_t> claims;  // committed instances held
   };
 
-  Value invoke_read_only(Transaction& txn, const Operation& op);
   Value invoke_update(Transaction& txn, const Operation& op);
 
   /// Smallest committed element with an unclaimed instance; nullopt when
@@ -72,10 +71,9 @@ class HybridBag final : public ObjectBase {
 
   std::vector<std::shared_ptr<Transaction>> blockers(ActivityId self);
 
-  std::map<std::int64_t, std::int64_t> committed_;   // guarded by mu_
-  std::vector<std::pair<Timestamp, LoggedOp>> log_;  // guarded by mu_
-  std::map<ActivityId, TxnEntry> intentions_;        // guarded by mu_
-  std::set<ActivityId> initiated_;                   // guarded by mu_
+  BagAdt::State committed_;                    // guarded by mu_
+  CommittedLog log_;                           // guarded by mu_
+  std::map<ActivityId, TxnEntry> intentions_;  // guarded by mu_
 };
 
 }  // namespace argus

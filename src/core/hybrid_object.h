@@ -14,17 +14,17 @@
 // draws a fresh timestamp and waits until the manager's visibility
 // watermark covers it, so every commit below the timestamp has fully
 // applied before the activity runs. They then evaluate queries against
-// the replayed log prefix below their timestamp — they take no locks,
-// hold no intentions, never wait and never abort, and are invisible to
-// updates. This realizes the paper's answer to Lamport's audit problem
-// (§4.3.3): audits see a full serializable snapshot yet "do not
+// the committed state below their timestamp (core/snapshot.h) — they
+// hold no intentions, never wait and never abort — and commit without
+// the update pipeline (reads_snapshot: no timestamp, no log force, no
+// apply turn). This realizes the paper's answer to Lamport's audit
+// problem (§4.3.3): audits see a full serializable snapshot yet "do not
 // interfere with any updates".
 #pragma once
 
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,11 +46,15 @@ class HybridAtomicObject final : public ObjectBase {
     txn.ensure_active();
     txn.touch(this);
     sched_point(op);
-    if (txn.read_only()) return invoke_read_only(txn, op);
+    if (txn.read_only()) return read_snapshot<A>(txn, op, committed_, log_);
     return invoke_update(txn, op);
   }
 
   void prepare(Transaction& txn) override { txn.ensure_active(); }
+
+  [[nodiscard]] bool reads_snapshot(const Transaction& txn) const override {
+    return txn.read_only();
+  }
 
   void commit(Transaction& txn, Timestamp commit_ts) override {
     const std::scoped_lock lock(mu_);
@@ -116,41 +120,6 @@ class HybridAtomicObject final : public ObjectBase {
     std::vector<LoggedOp> ops;
   };
 
-  Value invoke_read_only(Transaction& txn, const Operation& op) {
-    if (!A::is_read_only(op)) {
-      throw UsageError("read-only transaction invoked mutator " +
-                       to_string(op) + " on " + name());
-    }
-    const Timestamp t = txn.start_ts();
-    const std::scoped_lock lock(mu_);
-    if (initiated_.insert(txn.id()).second) {
-      record(initiate(id(), txn.id(), t));
-    }
-    record(argus::invoke(id(), txn.id(), op));
-
-    // The view at t: committed operations with timestamps strictly below
-    // t. The log is timestamp-ordered (applies run in commit-timestamp
-    // order, and recovery replays the timestamp-sorted stable log), and
-    // the watermark guaranteed every commit below t had fully applied
-    // before this activity's begin returned, so this is a true prefix.
-    std::vector<LoggedOp> prefix;
-    for (const auto& [ts, logged] : log_) {
-      if (ts >= t) break;
-      prefix.push_back(logged);
-    }
-    auto states = replay_logged<A>({A::initial()}, prefix);
-    if (states.empty()) {
-      throw UsageError("committed log not replayable at " + name());
-    }
-    const auto outcomes = A::step(states.front(), op);
-    if (outcomes.empty()) {
-      throw UsageError("read-only operation " + to_string(op) +
-                       " not enabled at snapshot of " + name());
-    }
-    record(respond(id(), txn.id(), outcomes.front().first));
-    return outcomes.front().first;
-  }
-
   Value invoke_update(Transaction& txn, const Operation& op) {
     std::unique_lock lock(mu_);
     record(argus::invoke(id(), txn.id(), op));
@@ -209,10 +178,9 @@ class HybridAtomicObject final : public ObjectBase {
     return out;
   }
 
-  typename A::State committed_ = A::initial();        // guarded by mu_
-  std::vector<std::pair<Timestamp, LoggedOp>> log_;   // guarded by mu_
-  std::map<ActivityId, TxnEntry> intentions_;         // guarded by mu_
-  std::set<ActivityId> initiated_;                    // guarded by mu_
+  typename A::State committed_ = A::initial();  // guarded by mu_
+  CommittedLog log_;                            // guarded by mu_
+  std::map<ActivityId, TxnEntry> intentions_;   // guarded by mu_
 };
 
 }  // namespace argus

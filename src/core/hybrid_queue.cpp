@@ -11,42 +11,10 @@ Value HybridFifoQueue::invoke(Transaction& txn, const Operation& op) {
   txn.ensure_active();
   txn.touch(this);
   sched_point(op);
-  if (txn.read_only()) return invoke_read_only(txn, op);
+  if (txn.read_only()) {
+    return read_snapshot<FifoQueueAdt>(txn, op, committed_, log_);
+  }
   return invoke_update(txn, op);
-}
-
-Value HybridFifoQueue::invoke_read_only(Transaction& txn,
-                                        const Operation& op) {
-  if (!FifoQueueAdt::is_read_only(op)) {
-    throw UsageError("read-only transaction invoked mutator " + to_string(op) +
-                     " on " + name());
-  }
-  const Timestamp t = txn.start_ts();
-  const std::scoped_lock lock(mu_);
-  if (initiated_.insert(txn.id()).second) {
-    record(initiate(id(), txn.id(), t));
-  }
-  record(argus::invoke(id(), txn.id(), op));
-
-  // Snapshot below t: replay the committed operation log prefix.
-  FifoQueueAdt::State state;
-  for (const auto& [ts, logged] : log_) {
-    if (ts >= t) break;
-    auto outcomes = FifoQueueAdt::step(state, logged.op);
-    for (auto& [result, next] : outcomes) {
-      if (result == logged.result) {
-        state = std::move(next);
-        break;
-      }
-    }
-  }
-  const auto outcomes = FifoQueueAdt::step(state, op);
-  if (outcomes.empty()) {
-    throw UsageError("read-only operation " + to_string(op) +
-                     " not enabled at snapshot of " + name());
-  }
-  record(respond(id(), txn.id(), outcomes.front().first));
-  return outcomes.front().first;
 }
 
 Value HybridFifoQueue::invoke_update(Transaction& txn, const Operation& op) {
@@ -114,6 +82,10 @@ std::vector<std::shared_ptr<Transaction>> HybridFifoQueue::dequeue_blockers(
 }
 
 void HybridFifoQueue::prepare(Transaction& txn) { txn.ensure_active(); }
+
+bool HybridFifoQueue::reads_snapshot(const Transaction& txn) const {
+  return txn.read_only();
+}
 
 void HybridFifoQueue::commit(Transaction& txn, Timestamp commit_ts) {
   const std::scoped_lock lock(mu_);

@@ -26,7 +26,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,6 +43,7 @@ class HybridFifoQueue final : public ObjectBase {
 
   Value invoke(Transaction& txn, const Operation& op) override;
   void prepare(Transaction& txn) override;
+  [[nodiscard]] bool reads_snapshot(const Transaction& txn) const override;
   void commit(Transaction& txn, Timestamp commit_ts) override;
   void abort(Transaction& txn) override;
   [[nodiscard]] std::vector<LoggedOp> intentions_of(
@@ -61,16 +61,14 @@ class HybridFifoQueue final : public ObjectBase {
     std::size_t dequeued{0};    // how many committed items it holds tentatively
   };
 
-  Value invoke_read_only(Transaction& txn, const Operation& op);
   Value invoke_update(Transaction& txn, const Operation& op);
 
   [[nodiscard]] bool other_has_tentative_dequeue(ActivityId self) const;
   std::vector<std::shared_ptr<Transaction>> dequeue_blockers(ActivityId self);
 
-  std::vector<std::int64_t> committed_;              // guarded by mu_
-  std::vector<std::pair<Timestamp, LoggedOp>> log_;  // committed ops by ts
-  std::map<ActivityId, TxnEntry> intentions_;        // guarded by mu_
-  std::set<ActivityId> initiated_;                   // guarded by mu_
+  FifoQueueAdt::State committed_;              // guarded by mu_
+  CommittedLog log_;                           // guarded by mu_
+  std::map<ActivityId, TxnEntry> intentions_;  // guarded by mu_
 };
 
 }  // namespace argus

@@ -25,11 +25,14 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "core/snapshot.h"
 #include "dsched/wait_policy.h"
 #include "obs/event_sink.h"
+#include "spec/adt_spec.h"
 #include "txn/managed_object.h"
 #include "txn/manager.h"
 
@@ -97,6 +100,8 @@ class ObjectBase : public ManagedObject {
     }
   }
 
+  /// Counts and forwards one event. Called with mu_ held, like every
+  /// recording (a commit or abort also ends the activity's initiate mark).
   void record(Event e) {
     switch (e.kind) {
       case EventKind::kInvoke:
@@ -104,15 +109,54 @@ class ObjectBase : public ManagedObject {
         break;
       case EventKind::kCommit:
         commits_.fetch_add(1, std::memory_order_relaxed);
+        initiated_.erase(e.activity);
         break;
       case EventKind::kAbort:
         aborts_.fetch_add(1, std::memory_order_relaxed);
+        initiated_.erase(e.activity);
         break;
       case EventKind::kRespond:
       case EventKind::kInitiate:
         break;
     }
     if (sink_ != nullptr) sink_->record(std::move(e));
+  }
+
+  /// Records <initiate(t),x,a> the first time `txn` invokes here:
+  /// activities that choose their timestamp at initiation (static
+  /// atomicity, hybrid read-only) announce it once per object. The mark
+  /// lasts until the activity's commit or abort is recorded here.
+  void record_initiate(const Transaction& txn) {
+    if (initiated_.insert(txn.id()).second) {
+      record(initiate(id_, txn.id(), txn.start_ts()));
+    }
+  }
+
+  /// A read-only activity's invocation against a timestamp-ordered
+  /// committed log (hybrid atomicity's snapshot read, §4.3): `op` is
+  /// evaluated at the state below the activity's timestamp, see
+  /// snapshot_state(). Takes mu_ (`committed` and `log` are guarded by
+  /// it); never blocks and never aborts.
+  template <AdtTraits A>
+  Value read_snapshot(Transaction& txn, const Operation& op,
+                      const typename A::State& committed,
+                      const CommittedLog& log) {
+    if (!A::is_read_only(op)) {
+      throw UsageError("read-only transaction invoked mutator " +
+                       to_string(op) + " on " + name_);
+    }
+    const std::scoped_lock lock(mu_);
+    record_initiate(txn);
+    record(argus::invoke(id_, txn.id(), op));
+    typename A::State scratch;
+    const auto outcomes =
+        A::step(snapshot_state<A>(committed, log, txn.start_ts(), scratch), op);
+    if (outcomes.empty()) {
+      throw UsageError("read-only operation " + to_string(op) +
+                       " not enabled at snapshot of " + name_);
+    }
+    record(respond(id_, txn.id(), outcomes.front().first));
+    return outcomes.front().first;
   }
 
   /// Blocks (releasing `lock`) until pred() holds. While blocked:
@@ -129,6 +173,7 @@ class ObjectBase : public ManagedObject {
   EventSink* sink_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
+  std::set<ActivityId> initiated_;  // guarded by mu_; see record_initiate
 
  private:
   const ObjectId id_;

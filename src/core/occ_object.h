@@ -17,10 +17,11 @@
 //
 // kMultiVersion storage (the MVCC/snapshot-read mode) additionally keeps
 // the committed operations as a timestamp-keyed version log, exactly like
-// HybridAtomicObject's: read-only transactions replay the prefix strictly
-// below their initiation timestamp — they take no buffers, never validate
-// and never abort, the same audit fast path hybrid atomicity provides
-// (§4.3.3), here grafted onto an OCC update path.
+// HybridAtomicObject's: read-only transactions read the committed state
+// strictly below their initiation timestamp (core/snapshot.h) — they take
+// no buffers, never validate, never abort and commit without the update
+// pipeline, the same audit fast path hybrid atomicity provides (§4.3.3),
+// here grafted onto an OCC update path.
 //
 // Either way the committed history is hybrid atomic by construction:
 // updates carry <commit(t),x,a> at their commit timestamp and serialize
@@ -31,7 +32,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,8 +60,12 @@ class OccAtomicObject final : public ObjectBase {
     txn.ensure_active();
     txn.touch(this);
     sched_point(op);
-    if (storage_ == OccStorage::kMultiVersion && txn.read_only()) {
-      return invoke_snapshot(txn, op);
+    if (reads_snapshot(txn)) {
+      // Snapshot read: the version log is timestamp-ordered exactly like
+      // HybridAtomicObject's committed log.
+      const Value result = read_snapshot<A>(txn, op, committed_, versions_);
+      txn.note_access(id(), /*write=*/false);
+      return result;
     }
     if (txn.read_only() && !A::is_read_only(op)) {
       throw UsageError("read-only transaction invoked mutator " +
@@ -85,11 +89,15 @@ class OccAtomicObject final : public ObjectBase {
     }
   }
 
+  [[nodiscard]] bool reads_snapshot(const Transaction& txn) const override {
+    return storage_ == OccStorage::kMultiVersion && txn.read_only();
+  }
+
   [[nodiscard]] bool needs_serial_validation(
       const Transaction& txn) const override {
     // Snapshot readers are abort-free by construction; everyone else
     // must survive validate-at-commit.
-    return !(storage_ == OccStorage::kMultiVersion && txn.read_only());
+    return !reads_snapshot(txn);
   }
 
   void validate_serial(Transaction& txn) override {
@@ -104,7 +112,7 @@ class OccAtomicObject final : public ObjectBase {
 
   void commit(Transaction& txn, Timestamp commit_ts) override {
     const std::scoped_lock lock(mu_);
-    if (storage_ == OccStorage::kMultiVersion && txn.read_only()) {
+    if (reads_snapshot(txn)) {
       record(argus::commit(id(), txn.id()));
       return;
     }
@@ -215,47 +223,11 @@ class OccAtomicObject final : public ObjectBase {
     return result;
   }
 
-  // Snapshot read (kMultiVersion): identical to hybrid atomicity's
-  // read-only fast path — the version log is timestamp-ordered (applies
-  // run in commit-timestamp order) and the watermark guaranteed every
-  // commit below the activity's timestamp had fully applied before its
-  // begin returned, so the prefix below start_ts is a true snapshot.
-  Value invoke_snapshot(Transaction& txn, const Operation& op) {
-    if (!A::is_read_only(op)) {
-      throw UsageError("read-only transaction invoked mutator " +
-                       to_string(op) + " on " + name());
-    }
-    const Timestamp t = txn.start_ts();
-    const std::scoped_lock lock(mu_);
-    if (initiated_.insert(txn.id()).second) {
-      record(initiate(id(), txn.id(), t));
-    }
-    record(argus::invoke(id(), txn.id(), op));
-    std::vector<LoggedOp> prefix;
-    for (const auto& [ts, logged] : versions_) {
-      if (ts >= t) break;
-      prefix.push_back(logged);
-    }
-    auto states = replay_logged<A>({A::initial()}, prefix);
-    if (states.empty()) {
-      throw UsageError("version log not replayable at " + name());
-    }
-    const auto outcomes = A::step(states.front(), op);
-    if (outcomes.empty()) {
-      throw UsageError("read-only operation " + to_string(op) +
-                       " not enabled at snapshot of " + name());
-    }
-    txn.note_access(id(), /*write=*/false);
-    record(respond(id(), txn.id(), outcomes.front().first));
-    return outcomes.front().first;
-  }
-
   const OccStorage storage_;
   typename A::State committed_ = A::initial();  // guarded by mu_
   std::uint64_t version_{0};                    // committed mutations
-  std::vector<std::pair<Timestamp, LoggedOp>> versions_;  // kMultiVersion
+  CommittedLog versions_;                       // kMultiVersion only
   std::map<ActivityId, TxnEntry> entries_;      // guarded by mu_
-  std::set<ActivityId> initiated_;              // guarded by mu_
 };
 
 }  // namespace argus

@@ -58,9 +58,7 @@ class StaticAtomicObject final : public ObjectBase {
     const Timestamp t = txn.start_ts();
 
     std::unique_lock lock(mu_);
-    if (initiated_.insert(txn.id()).second) {
-      record(initiate(id(), txn.id(), t));
-    }
+    record_initiate(txn);
     record(argus::invoke(id(), txn.id(), op));
 
     Attempt attempt;
@@ -89,6 +87,7 @@ class StaticAtomicObject final : public ObjectBase {
     for (auto& [key, rec] : log_) {
       if (rec.txn == txn.id()) rec.committed = true;
     }
+    seq_.erase(txn.id());
     record(argus::commit(id(), txn.id()));
     notify_object();
   }
@@ -209,7 +208,7 @@ class StaticAtomicObject final : public ObjectBase {
       it = log_.begin();
     }
     for (; it != log_.end() && it->first < insert_key; ++it) {
-      below = replay_logged<A>(std::move(below), {it->second.logged});
+      below = replay_one<A>(below, it->second.logged);
       if (below.empty()) break;
     }
     if (below.empty()) {
@@ -253,7 +252,6 @@ class StaticAtomicObject final : public ObjectBase {
 
   std::map<Key, Record> log_;                    // guarded by mu_
   std::map<ActivityId, std::uint64_t> seq_;      // guarded by mu_
-  std::set<ActivityId> initiated_;               // guarded by mu_
 
   // Prefix-replay cache: cache_states_ is the candidate state set after
   // replaying every record with key < cache_key_. All guarded by mu_.

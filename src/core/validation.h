@@ -30,6 +30,30 @@ namespace argus {
 
 inline constexpr std::size_t kMaxExactValidation = 6;
 
+/// Advances every candidate state by one logged operation, keeping the
+/// successors that reproduce its recorded result (deduplicated). Empty
+/// means the recorded result is impossible from every candidate.
+template <AdtTraits A>
+[[nodiscard]] std::vector<typename A::State> replay_one(
+    const std::vector<typename A::State>& candidates, const LoggedOp& logged) {
+  std::vector<typename A::State> next;
+  for (const auto& s : candidates) {
+    for (auto& [result, successor] : A::step(s, logged.op)) {
+      if (result != logged.result) continue;
+      // Dedupe: nondeterministic branches often reconverge.
+      bool dup = false;
+      for (const auto& u : next) {
+        if (u == successor) {
+          dup = true;
+          break;
+        }
+      }
+      if (!dup) next.push_back(std::move(successor));
+    }
+  }
+  return next;
+}
+
 /// Replays `ops` over every candidate state, pruning by recorded results
 /// (subset simulation, as in spec/serial.h but over value states).
 /// Returns the surviving candidate set; empty means some recorded result
@@ -39,26 +63,8 @@ template <AdtTraits A>
     std::vector<typename A::State> candidates,
     const std::vector<LoggedOp>& ops) {
   for (const LoggedOp& logged : ops) {
-    std::vector<typename A::State> next;
-    for (const auto& s : candidates) {
-      for (auto& [result, successor] : A::step(s, logged.op)) {
-        if (result == logged.result) next.push_back(std::move(successor));
-      }
-    }
-    // Dedupe: nondeterministic branches often reconverge.
-    std::vector<typename A::State> unique;
-    for (auto& s : next) {
-      bool dup = false;
-      for (const auto& u : unique) {
-        if (u == s) {
-          dup = true;
-          break;
-        }
-      }
-      if (!dup) unique.push_back(std::move(s));
-    }
-    if (unique.empty()) return {};
-    candidates = std::move(unique);
+    candidates = replay_one<A>(candidates, logged);
+    if (candidates.empty()) return {};
   }
   return candidates;
 }

@@ -22,7 +22,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,9 +51,7 @@ class TimestampSchedulerObject final : public ObjectBase {
     const bool is_read = A::is_read_only(op);
 
     std::unique_lock lock(mu_);
-    if (initiated_.insert(txn.id()).second) {
-      record(initiate(id(), txn.id(), t));
-    }
+    record_initiate(txn);
     record(argus::invoke(id(), txn.id(), op));
     owners_[txn.id()] = txn.weak_from_this();
 
@@ -164,7 +161,6 @@ class TimestampSchedulerObject final : public ObjectBase {
 
   SingleVersionStorage<A> storage_;                          // guarded by mu_
   std::map<ActivityId, std::weak_ptr<Transaction>> owners_;  // guarded by mu_
-  std::set<ActivityId> initiated_;                           // guarded by mu_
   std::multimap<Timestamp, ActivityId> reads_;               // guarded by mu_
   std::multimap<Timestamp, ActivityId> writes_;              // guarded by mu_
 };

@@ -38,6 +38,17 @@ class ManagedObject {
   /// stages — no global lock is held.
   virtual void prepare(Transaction& txn) = 0;
 
+  /// True when this object served read-only `txn` from a committed
+  /// snapshot below its start timestamp (hybrid atomicity's read-only
+  /// activities, MVCC readers): such a transaction has nothing to
+  /// validate, log or apply here. When every touched object answers true
+  /// the manager commits it through commit_read_only — no timestamp, no
+  /// log force, no apply turn.
+  [[nodiscard]] virtual bool reads_snapshot(const Transaction& txn) const {
+    (void)txn;
+    return false;
+  }
+
   /// True when committing `txn` here requires a final validation at the
   /// pipeline's serialization point (OCC/MVCC validate-at-commit). When
   /// any touched object answers true the manager takes the commit turn

@@ -1,5 +1,6 @@
 #include "txn/manager.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/scope_guard.h"
@@ -199,6 +200,16 @@ void TransactionManager::commit(const std::shared_ptr<Transaction>& t) {
   if (WaitPolicy* policy = wait_policy()) {
     policy->yield(LaneHint{WaitPoint::kTxnCommit});
   }
+  const std::vector<ManagedObject*> objects = t->touched();
+  // A read-only transaction that every object served from a snapshot has
+  // nothing to validate, force or apply: it skips the pipeline entirely,
+  // so an audit never waits behind an update's force (§4.3.3).
+  if (t->read_only() &&
+      std::all_of(objects.begin(), objects.end(),
+                  [&](ManagedObject* o) { return o->reads_snapshot(*t); })) {
+    commit_read_only(t);
+    return;
+  }
   if (t->state() != TxnState::kActive) {
     throw UsageError("commit of finished transaction " + to_string(t->id()));
   }
@@ -207,8 +218,6 @@ void TransactionManager::commit(const std::shared_ptr<Transaction>& t) {
     finish_abort(t, reason);
     throw TransactionAborted(t->id(), reason);
   }
-
-  const std::vector<ManagedObject*> objects = t->touched();
 
   // Stage 1: validate. An object may veto by throwing. Runs without any
   // global lock in both modes.

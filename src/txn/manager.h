@@ -25,11 +25,15 @@
 // watermark covers its (fresh, unique) timestamp — every commit below t
 // has fully applied before the begin returns, and every later commit
 // draws a larger timestamp. Update begins draw from the clock without
-// any lock at all.
+// any lock at all. A read-only transaction served entirely from such
+// snapshots (ManagedObject::reads_snapshot) skips the pipeline: it has
+// nothing to validate, log or apply, so commit() hands it to
+// commit_read_only() — no timestamp, no log force, no apply turn — and
+// an audit never waits behind an update's force.
 //
-// CommitMode::kSingleMutex preserves the seed behaviour — every commit
-// (and every begin) serialized under one mutex — as a baseline for
-// bench_commit_pipeline and as a reference implementation.
+// CommitMode::kSingleMutex preserves the seed behaviour — every update
+// commit (and every begin) serialized under one mutex — as a baseline
+// for bench_commit_pipeline and as a reference implementation.
 #pragma once
 
 #include <atomic>
@@ -164,21 +168,24 @@ class TransactionManager {
   void detach_prepared(const std::shared_ptr<Transaction>& t);
 
   /// Commits across all touched objects via the staged pipeline (or the
-  /// single-mutex path, per commit_mode). Throws TransactionAborted
-  /// (after performing the abort) if the transaction was doomed, an
-  /// object vetoed in prepare, or a crash discarded its log record.
+  /// single-mutex path, per commit_mode). A read-only transaction that
+  /// every touched object served from a snapshot goes to
+  /// commit_read_only() instead. Throws TransactionAborted (after
+  /// performing the abort) if the transaction was doomed, an object
+  /// vetoed in prepare, or a crash discarded its log record.
   void commit(const std::shared_ptr<Transaction>& t);
 
-  /// Commits a read-only transaction without the pipeline: a hybrid
+  /// Commits a read-only transaction without the pipeline: a snapshot
   /// read-only commit is pure event recording — no intentions to apply,
   /// no log record, no commit timestamp — so once the transaction is
-  /// known not to be doomed this cannot fail. Cross-site coordinators
-  /// rely on that: commit/abort events are tracked per activity across
-  /// the merged history, so a read-only transaction spanning sites must
-  /// commit everywhere or nowhere, with no participant able to fail
-  /// between the first commit event and the last. Throws UsageError if
-  /// the transaction is not read-only, TransactionAborted (after
-  /// aborting) if it was doomed.
+  /// known not to be doomed this cannot fail. commit() takes this path
+  /// for snapshot readers; cross-site coordinators call it directly and
+  /// rely on the no-fail property: commit/abort events are tracked per
+  /// activity across the merged history, so a read-only transaction
+  /// spanning sites must commit everywhere or nowhere, with no
+  /// participant able to fail between the first commit event and the
+  /// last. Throws UsageError if the transaction is not read-only,
+  /// TransactionAborted (after aborting) if it was doomed.
   void commit_read_only(const std::shared_ptr<Transaction>& t);
 
   /// Aborts at every touched object. Idempotent on finished transactions.
