@@ -20,21 +20,20 @@
 //
 // Two passes per mode:
 //
-//   * BM_E15_Certify_* — a small recorded run, online sentinel attached,
+//   * run_certify/<mode> — a small recorded run, online sentinel attached,
 //     then the mode's offline checker over the full history (dynamic /
 //     static / hybrid atomicity; OCC and MVCC certify against hybrid —
 //     updates serialize at commit timestamps). Publishes cert_ok and
 //     sentinel_violations; a 0 in cert_ok means the perf numbers next to
 //     it are numbers for a broken protocol and must be discarded.
-//   * BM_E15_<mode>/threads — the measured run (recording off):
+//   * run_mode/<mode>/threads — the measured run (recording off):
 //     transfers + audits over a seeded bank, threads in {1,2,4,8},
 //     reporting txn/s, abort breakdown (incl. validation losses),
 //     executor retries and money conservation.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
-#include "check/atomicity.h"
-#include "hist/wellformed.h"
+#include "check/certify.h"
 #include "sim/scenarios.h"
 
 namespace argus {
@@ -47,12 +46,10 @@ constexpr std::int64_t kTotal = kAccounts * kInitialBalance;
 // ---------------------------------------------------------------------------
 // Certification pass: small, recorded, sentinel on, offline checkers.
 
-void run_certify(benchmark::State& state, CCMode mode) {
+void run_certify(benchmark::State& state, Protocol mode) {
   for (auto _ : state) {
-    Runtime rt(/*record_history=*/true);
-    rt.set_cc_mode(mode);
-    auto bank = BankScenario::create(rt, to_protocol(mode), /*n=*/3,
-                                     kInitialBalance);
+    Runtime rt(Runtime::RecorderMode::kFlight);
+    auto bank = BankScenario::create(rt, mode, /*n=*/3, kInitialBalance);
     rt.set_wait_timeout_all(std::chrono::milliseconds(500));
     AtomicitySentinel& sentinel = rt.start_sentinel();
 
@@ -71,25 +68,9 @@ void run_certify(benchmark::State& state, CCMode mode) {
     rt.stop_sentinel();
 
     const History h = rt.history();
-    bool cert_ok = false;
-    switch (mode) {
-      case CCMode::kDynamic:
-        cert_ok = check_well_formed(h).ok() &&
-                  check_dynamic_atomic(rt.system(), h).ok;
-        break;
-      case CCMode::kStatic:
-        cert_ok = check_well_formed_static(h).ok() &&
-                  check_static_atomic(rt.system(), h).ok;
-        break;
-      case CCMode::kHybrid:
-      case CCMode::kOcc:
-      case CCMode::kMvcc:
-        cert_ok = check_well_formed_hybrid(h, {}).ok() &&
-                  check_hybrid_atomic(rt.system(), h).ok;
-        break;
-    }
+    const bool cert_ok = certify(mode, rt.system(), h).ok;
     const bool conserved =
-        bank.total_balance(rt, mode_supports_snapshot_reads(mode)) ==
+        bank.total_balance(rt, supports_snapshot_reads(mode)) ==
         3 * kInitialBalance;
 
     const std::string key = "e15/certify/" + to_string(mode);
@@ -106,13 +87,11 @@ void run_certify(benchmark::State& state, CCMode mode) {
 // ---------------------------------------------------------------------------
 // Measured pass: identical seeded workload, threads in {1,2,4,8}.
 
-void run_mode(benchmark::State& state, CCMode mode) {
+void run_mode(benchmark::State& state, Protocol mode) {
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Runtime rt(/*record_history=*/false);
-    rt.set_cc_mode(mode);
-    auto bank =
-        BankScenario::create(rt, to_protocol(mode), kAccounts, kInitialBalance);
+    Runtime rt(Runtime::RecorderMode::kOff);
+    auto bank = BankScenario::create(rt, mode, kAccounts, kInitialBalance);
     rt.set_wait_timeout_all(std::chrono::milliseconds(200));
 
     // Same seed and task count for every (mode, threads) cell: the
@@ -125,7 +104,7 @@ void run_mode(benchmark::State& state, CCMode mode) {
     WorkloadDriver driver(rt, options);
     const auto result = driver.run({
         bank.transfer_mix(5, 8, /*hold_us=*/5),
-        bank.audit_mix(mode_supports_snapshot_reads(mode), 2, /*hold_us=*/10),
+        bank.audit_mix(supports_snapshot_reads(mode), 2, /*hold_us=*/10),
     });
 
     const std::string key =
@@ -134,38 +113,12 @@ void run_mode(benchmark::State& state, CCMode mode) {
     bench::report_label(state, result, "transfer", key);
     bench::report_label(state, result, "audit", key);
     const bool conserved =
-        bank.total_balance(rt, mode_supports_snapshot_reads(mode)) == kTotal;
+        bank.total_balance(rt, supports_snapshot_reads(mode)) == kTotal;
     state.counters["conserved"] = conserved ? 1.0 : 0.0;
     bench::JsonSink::instance().update(key,
                                        {{"conserved", conserved ? 1.0 : 0.0}});
   }
 }
-
-void BM_E15_Certify_Dynamic(benchmark::State& state) {
-  run_certify(state, CCMode::kDynamic);
-}
-void BM_E15_Certify_Static(benchmark::State& state) {
-  run_certify(state, CCMode::kStatic);
-}
-void BM_E15_Certify_Hybrid(benchmark::State& state) {
-  run_certify(state, CCMode::kHybrid);
-}
-void BM_E15_Certify_Occ(benchmark::State& state) {
-  run_certify(state, CCMode::kOcc);
-}
-void BM_E15_Certify_Mvcc(benchmark::State& state) {
-  run_certify(state, CCMode::kMvcc);
-}
-
-void BM_E15_Dynamic(benchmark::State& state) {
-  run_mode(state, CCMode::kDynamic);
-}
-void BM_E15_Static(benchmark::State& state) {
-  run_mode(state, CCMode::kStatic);
-}
-void BM_E15_Hybrid(benchmark::State& state) { run_mode(state, CCMode::kHybrid); }
-void BM_E15_Occ(benchmark::State& state) { run_mode(state, CCMode::kOcc); }
-void BM_E15_Mvcc(benchmark::State& state) { run_mode(state, CCMode::kMvcc); }
 
 static void CertifyArgs(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMillisecond)->Iterations(1);
@@ -175,17 +128,18 @@ static void ModeArgs(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMillisecond)->Iterations(1);
 }
 
-BENCHMARK(BM_E15_Certify_Dynamic)->Apply(CertifyArgs);
-BENCHMARK(BM_E15_Certify_Static)->Apply(CertifyArgs);
-BENCHMARK(BM_E15_Certify_Hybrid)->Apply(CertifyArgs);
-BENCHMARK(BM_E15_Certify_Occ)->Apply(CertifyArgs);
-BENCHMARK(BM_E15_Certify_Mvcc)->Apply(CertifyArgs);
+BENCHMARK_CAPTURE(run_certify, dynamic, Protocol::kDynamic)
+    ->Apply(CertifyArgs);
+BENCHMARK_CAPTURE(run_certify, static, Protocol::kStatic)->Apply(CertifyArgs);
+BENCHMARK_CAPTURE(run_certify, hybrid, Protocol::kHybrid)->Apply(CertifyArgs);
+BENCHMARK_CAPTURE(run_certify, occ, Protocol::kOcc)->Apply(CertifyArgs);
+BENCHMARK_CAPTURE(run_certify, mvcc, Protocol::kMvcc)->Apply(CertifyArgs);
 
-BENCHMARK(BM_E15_Dynamic)->Apply(ModeArgs);
-BENCHMARK(BM_E15_Static)->Apply(ModeArgs);
-BENCHMARK(BM_E15_Hybrid)->Apply(ModeArgs);
-BENCHMARK(BM_E15_Occ)->Apply(ModeArgs);
-BENCHMARK(BM_E15_Mvcc)->Apply(ModeArgs);
+BENCHMARK_CAPTURE(run_mode, dynamic, Protocol::kDynamic)->Apply(ModeArgs);
+BENCHMARK_CAPTURE(run_mode, static, Protocol::kStatic)->Apply(ModeArgs);
+BENCHMARK_CAPTURE(run_mode, hybrid, Protocol::kHybrid)->Apply(ModeArgs);
+BENCHMARK_CAPTURE(run_mode, occ, Protocol::kOcc)->Apply(ModeArgs);
+BENCHMARK_CAPTURE(run_mode, mvcc, Protocol::kMvcc)->Apply(ModeArgs);
 
 }  // namespace
 }  // namespace argus

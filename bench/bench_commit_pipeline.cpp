@@ -29,7 +29,7 @@ constexpr auto kForceDelay = std::chrono::microseconds(20);
 void run_commit_pipeline(benchmark::State& state, CommitMode mode) {
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Runtime rt(/*record_history=*/false);
+    Runtime rt(Runtime::RecorderMode::kOff);
     rt.tm().set_commit_mode(mode);
     rt.tm().log().set_force_delay(kForceDelay);
     std::vector<std::shared_ptr<ManagedObject>> accounts;

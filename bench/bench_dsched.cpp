@@ -75,7 +75,7 @@ void BM_Dsched_OsBaseline(benchmark::State& state) {
   }
 }
 
-/// Deterministic-mode cost per explored case: one full run_sched_case —
+/// Deterministic-mode cost per explored case: one full run_case —
 /// runtime build, scheduled lanes, crash/recover, certification — per
 /// iteration. `state.range(0)` picks the schedule source.
 void run_case_bench(benchmark::State& state, ScheduleKind kind) {
@@ -92,7 +92,7 @@ void run_case_bench(benchmark::State& state, ScheduleKind kind) {
   std::uint64_t certified = 0;
   for (auto _ : state) {
     c.seed = seed++;
-    const SchedCaseResult result = run_sched_case(c);
+    const SchedCaseResult result = run_case(c);
     steps += result.steps;
     certified += result.ok ? 1 : 0;
     benchmark::DoNotOptimize(result.trace.data());
@@ -105,19 +105,11 @@ void run_case_bench(benchmark::State& state, ScheduleKind kind) {
                          benchmark::Counter::kIsRate);
   state.counters["certified"] = static_cast<double>(certified);
   bench::JsonSink::instance().update(
-      std::string("dsched/case/") +
-          (kind == ScheduleKind::kRandom ? "random" : "pct"),
+      "dsched/case/" + to_string(kind),
       {{"steps_per_case",
         static_cast<double>(steps) /
             static_cast<double>(std::max<std::int64_t>(1, state.iterations()))},
        {"certified", static_cast<double>(certified)}});
-}
-
-void BM_Dsched_CaseRandom(benchmark::State& state) {
-  run_case_bench(state, ScheduleKind::kRandom);
-}
-void BM_Dsched_CasePct(benchmark::State& state) {
-  run_case_bench(state, ScheduleKind::kPct);
 }
 
 /// Exhaustive DFS throughput on the canonical 2-lane/1-object tree: how
@@ -162,8 +154,10 @@ BENCHMARK(BM_Dsched_OsBaseline)
     ->Arg(1)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
-BENCHMARK(BM_Dsched_CaseRandom)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Dsched_CasePct)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(run_case_bench, random, ScheduleKind::kRandom)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(run_case_bench, pct, ScheduleKind::kPct)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Dsched_DfsExhaust)->Unit(benchmark::kMillisecond);
 
 }  // namespace

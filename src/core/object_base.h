@@ -12,8 +12,7 @@
 // that commit event.
 //
 // Events flow through an EventSink (obs/event_sink.h) — the sharded
-// FlightRecorder in production, the global-mutex HistoryRecorder as the
-// reference implementation, or nullptr when capture is off. Counters are
+// FlightRecorder, or nullptr when capture is off. Counters are
 // maintained unconditionally (relaxed atomics); the runtime's metrics
 // registry scrapes them per object.
 #pragma once
@@ -61,6 +60,11 @@ class ObjectBase : public ManagedObject {
   void set_wait_timeout(std::chrono::milliseconds timeout) {
     wait_timeout_ = timeout;
   }
+
+  /// Whether invocations here can wait in await() — and so take part in
+  /// waits-for cycles. The runtime emits an object's wait/deadlock
+  /// telemetry only when it can.
+  [[nodiscard]] virtual bool can_block() const { return true; }
 
   [[nodiscard]] ObjectCounters counters() const {
     ObjectCounters out;

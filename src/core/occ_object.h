@@ -93,6 +93,10 @@ class OccAtomicObject final : public ObjectBase {
     return storage_ == OccStorage::kMultiVersion && txn.read_only();
   }
 
+  /// Optimistic objects admit every invocation at once and settle
+  /// conflicts at commit: they never wait.
+  [[nodiscard]] bool can_block() const override { return false; }
+
   [[nodiscard]] bool needs_serial_validation(
       const Transaction& txn) const override {
     // Snapshot readers are abort-free by construction; everyone else

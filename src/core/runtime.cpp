@@ -15,16 +15,8 @@ Runtime::Runtime(RecorderMode mode, SchedMode sched_mode, WaitPolicy* policy,
   }
   if (sched_mode_ == SchedMode::kOs) wait_policy_ = nullptr;
   tm_.set_wait_policy(wait_policy_);
-  switch (mode_) {
-    case RecorderMode::kOff:
-      break;
-    case RecorderMode::kFlight:
-      flight_ =
-          std::make_unique<FlightRecorder>(tm_.clock(), recorder_options);
-      break;
-    case RecorderMode::kLegacyMutex:
-      legacy_ = std::make_unique<HistoryRecorder>();
-      break;
+  if (mode_ == RecorderMode::kFlight) {
+    flight_ = std::make_unique<FlightRecorder>(tm_.clock(), recorder_options);
   }
   register_collectors();
 }
@@ -64,15 +56,8 @@ void Runtime::set_executor_stats(
 }
 
 History Runtime::history() const {
-  switch (mode_) {
-    case RecorderMode::kOff:
-      return History{};  // explicitly empty: nothing was ever captured
-    case RecorderMode::kFlight:
-      return flight_->snapshot();
-    case RecorderMode::kLegacyMutex:
-      return legacy_->snapshot();
-  }
-  return History{};
+  // Explicitly empty with capture off: nothing was ever captured.
+  return flight_ ? flight_->snapshot() : History{};
 }
 
 AtomicitySentinel& Runtime::start_sentinel(SentinelOptions options) {
@@ -175,10 +160,10 @@ void Runtime::register_collectors() {
     out.push_back({"argus_watermark_lag", {}, double(p.watermark_lag())});
     out.push_back(
         {"argus_inflight_commits", {}, double(tm_.clock().inflight())});
-    // Lock-mode machinery: under OCC/MVCC objects never block, the
+    // Lock-mode machinery: when no object can block (all OCC/MVCC) the
     // detector never runs, and emitting its zero would read as "deadlock
     // freedom measured" when nothing was measured at all.
-    if (uses_blocking_admission(cc_mode())) {
+    if (has_blocking_object()) {
       out.push_back({"argus_deadlocks_resolved_total",
                      {},
                      double(tm_.detector().deadlocks_resolved())});
@@ -213,7 +198,6 @@ void Runtime::register_collectors() {
                      "counter");
   metrics_->add_collector([this]() {
     std::vector<MetricSample> out;
-    const bool blocking = uses_blocking_admission(cc_mode());
     for (const auto& [id, obj] : objects_) {
       auto base = std::dynamic_pointer_cast<ObjectBase>(obj);
       if (!base) continue;
@@ -223,7 +207,7 @@ void Runtime::register_collectors() {
           {"argus_object_invocations_total", labels, double(c.invocations)});
       out.push_back({"argus_object_commits_total", labels, double(c.commits)});
       out.push_back({"argus_object_aborts_total", labels, double(c.aborts)});
-      if (!blocking) continue;  // wait series is lock-mode-only telemetry
+      if (!base->can_block()) continue;  // no waits to report
       out.push_back({"argus_object_waits_total", labels, double(c.waits)});
       out.push_back({"argus_object_wait_timeouts_total", labels,
                      double(c.wait_timeouts)});
@@ -315,9 +299,6 @@ void Runtime::register_collectors() {
           {"argus_recorder_dropped_total", {}, double(flight_->dropped())});
       out.push_back(
           {"argus_recorder_shards", {}, double(flight_->shard_count())});
-    } else if (legacy_) {
-      out.push_back(
-          {"argus_recorder_events_total", {}, double(legacy_->size())});
     }
     return out;
   });
@@ -357,6 +338,14 @@ std::shared_ptr<ManagedObject> Runtime::object(ObjectId id) const {
     throw UsageError("unknown object " + to_string(id));
   }
   return it->second;
+}
+
+bool Runtime::has_blocking_object() const {
+  for (const auto& [id, obj] : objects_) {
+    const auto base = std::dynamic_pointer_cast<ObjectBase>(obj);
+    if (!base || base->can_block()) return true;
+  }
+  return false;
 }
 
 std::vector<std::shared_ptr<ManagedObject>> Runtime::objects() const {

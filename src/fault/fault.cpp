@@ -48,14 +48,6 @@ std::string to_string(FaultSite site) {
   return "?";
 }
 
-std::optional<FaultSite> fault_site_from_string(const std::string& name) {
-  for (std::size_t i = 0; i < kFaultSiteCount; ++i) {
-    const auto site = static_cast<FaultSite>(i);
-    if (to_string(site) == name) return site;
-  }
-  return std::nullopt;
-}
-
 std::string to_string(FaultAction action) {
   switch (action) {
     case FaultAction::kForceFail:

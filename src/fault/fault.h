@@ -43,7 +43,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,8 +78,6 @@ enum class FaultSite : int {
 inline constexpr std::size_t kFaultSiteCount = 19;
 
 [[nodiscard]] std::string to_string(FaultSite site);
-[[nodiscard]] std::optional<FaultSite> fault_site_from_string(
-    const std::string& name);
 
 /// What the injector did at one arrival (trace vocabulary).
 enum class FaultAction {

@@ -43,19 +43,6 @@ std::optional<ActivityId> parse_activity(const std::string& s) {
   return std::nullopt;
 }
 
-std::optional<ObjectId> parse_object(const std::string& s) {
-  if (s.size() == 1 && s[0] >= 'x' && s[0] <= 'z') {
-    return ObjectId{static_cast<std::uint64_t>(s[0] - 'x')};
-  }
-  if (s.size() > 3 && s.substr(0, 3) == "obj") {
-    std::int64_t n = 0;
-    if (parse_int(s.substr(3), n) && n >= 0) {
-      return ObjectId{static_cast<std::uint64_t>(n)};
-    }
-  }
-  return std::nullopt;
-}
-
 /// Splits the event body on top-level commas (arguments inside
 /// parentheses are protected).
 std::vector<std::string> split_top_level(const std::string& body) {
@@ -85,6 +72,19 @@ std::string trim(const std::string& s) {
 }
 
 }  // namespace
+
+std::optional<ObjectId> parse_object(const std::string& s) {
+  if (s.size() == 1 && s[0] >= 'x' && s[0] <= 'z') {
+    return ObjectId{static_cast<std::uint64_t>(s[0] - 'x')};
+  }
+  if (s.size() > 3 && s.substr(0, 3) == "obj") {
+    std::int64_t n = 0;
+    if (parse_int(s.substr(3), n) && n >= 0) {
+      return ObjectId{static_cast<std::uint64_t>(n)};
+    }
+  }
+  return std::nullopt;
+}
 
 ParseResult parse_event_line(const std::string& raw) {
   std::string line = trim(raw);

@@ -36,6 +36,9 @@ struct ParseResult {
 /// body that is not commit/abort is a response value.
 [[nodiscard]] ParseResult parse_event_line(const std::string& line);
 
+/// Parses an object name: the inverse of to_string(ObjectId).
+[[nodiscard]] std::optional<ObjectId> parse_object(const std::string& s);
+
 /// Parses a whole multi-line history.
 [[nodiscard]] ParseResult parse_history(const std::string& text);
 

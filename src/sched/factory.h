@@ -1,4 +1,4 @@
-// Uniform object construction across all six protocols, so workloads and
+// Uniform object construction across all eight protocols, so workloads and
 // benchmarks can sweep "same ADT, same workload, different concurrency
 // control" — the comparison structure of every experiment in
 // EXPERIMENTS.md.
@@ -7,27 +7,12 @@
 #include <memory>
 #include <string>
 
+#include "common/protocol.h"
 #include "core/runtime.h"
 #include "sched/lock_scheduler.h"
 #include "sched/timestamp_scheduler.h"
 
 namespace argus {
-
-enum class Protocol {
-  kDynamic,         // §4.1 — intentions lists + data-dependent admission
-  kStatic,          // §4.2 — generalized multi-version timestamp ordering
-  kHybrid,          // §4.3 — dynamic updates + commit-time timestamps
-  kTwoPhase,        // baseline: strict 2PL, read/write locks
-  kCommutativity,   // baseline: static commutativity locking
-  kTimestamp,       // baseline: strict single-version timestamp ordering
-  kOcc,             // foil: validate-at-commit, first-committer-wins
-  kMvcc,            // foil: OCC updates + version log, snapshot reads
-};
-
-[[nodiscard]] std::string to_string(Protocol p);
-
-/// The protocol a CCMode drives objects under (the executor's dispatch).
-[[nodiscard]] Protocol to_protocol(CCMode mode);
 
 /// Creates an object of the given ADT under the given protocol, registers
 /// it (and its spec) with the runtime, and returns it.
@@ -64,21 +49,5 @@ std::shared_ptr<ManagedObject> make_object(Runtime& rt, Protocol protocol,
   }
   throw UsageError("unknown protocol");
 }
-
-/// Mode-parameterized construction for the TxnExecutor's CC-mode sweep:
-/// creates the object under to_protocol(mode) and stamps the runtime
-/// with the mode (gating the lock-only telemetry under OCC/MVCC).
-template <AdtTraits A>
-std::shared_ptr<ManagedObject> make_mode_object(Runtime& rt, CCMode mode,
-                                                const std::string& name) {
-  rt.set_cc_mode(mode);
-  return make_object<A>(rt, to_protocol(mode), name);
-}
-
-/// Does this protocol give read-only transactions a timestamp snapshot
-/// (i.e. should workloads open audits with begin_read_only)? All
-/// protocols accept read-only transactions; under hybrid this unlocks the
-/// non-interference fast path.
-[[nodiscard]] bool supports_snapshot_reads(Protocol p);
 
 }  // namespace argus

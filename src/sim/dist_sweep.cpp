@@ -2,185 +2,86 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <sstream>
-#include <unordered_set>
 
-#include "check/atomicity.h"
 #include "common/rng.h"
-#include "dist/dist_runtime.h"
-#include "hist/wellformed.h"
 #include "spec/adts/bank_account.h"
 
 namespace argus {
 
-namespace {
-
-std::optional<Protocol> protocol_from_string(const std::string& name) {
-  for (Protocol p : {Protocol::kDynamic, Protocol::kHybrid}) {
-    if (to_string(p) == name) return p;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::string to_dist_config_string(const DistSweepCase& c) {
+std::string to_config_string(const DistSweepCase& c) {
   std::ostringstream out;
-  out << "# dist-sweep case (replay: examples/dist_replay <file>)\n";
+  out << "# dist-sweep case (replay: examples/case_replay dist <file>)\n";
   out << "sites " << c.sites << "\n";
   out << "protocol " << to_string(c.protocol) << "\n";
   out << "sharded " << c.sharded << "\n";
   out << "replicated " << c.replicated << "\n";
   out << "transactions " << c.transactions << "\n";
   out << "initial_balance " << c.initial_balance << "\n";
-  out << "seed " << c.plan.seed << "\n";
-  out << "site_fail_permille " << c.plan.site_fail_permille << "\n";
-  out << "site_recover_permille " << c.plan.site_recover_permille << "\n";
-  out << "force_fail_permille " << c.plan.force_fail_permille << "\n";
-  out << "force_max_retries " << c.plan.force_max_retries << "\n";
-  out << "force_retry_backoff_us " << c.plan.force_retry_backoff_us << "\n";
-  out << "torn_batch_permille " << c.plan.torn_batch_permille << "\n";
-  out << "leader_latency_permille " << c.plan.leader_latency_permille << "\n";
-  out << "leader_latency_us " << c.plan.leader_latency_us << "\n";
-  out << "crash_point " << to_string(c.plan.crash_point) << "\n";
-  out << "crash_at " << c.plan.crash_at_arrival << "\n";
-  out << "spurious_timeout_permille " << c.plan.spurious_timeout_permille
-      << "\n";
-  out << "delayed_wakeup_permille " << c.plan.delayed_wakeup_permille << "\n";
-  out << "delayed_wakeup_us " << c.plan.delayed_wakeup_us << "\n";
-  out << "coord_crash_point " << to_string(c.plan.coord_crash_point) << "\n";
-  out << "coord_crash_at " << c.plan.coord_crash_at_arrival << "\n";
-  out << "coord_recover_permille " << c.plan.coord_recover_permille << "\n";
-  out << "decision_force_fail_permille "
-      << c.plan.decision_force_fail_permille << "\n";
-  out << "msg_loss_permille " << c.plan.msg_loss_permille << "\n";
-  out << "msg_latency_permille " << c.plan.msg_latency_permille << "\n";
-  out << "msg_latency_us " << c.plan.msg_latency_us << "\n";
-  out << "msg_retries " << c.plan.msg_retries << "\n";
-  out << "max_faults " << c.plan.max_faults << "\n";
+  print_plan(out, c.plan, PlanKeys::kDist);
   return out.str();
 }
 
-bool parse_dist_case(const std::string& text, DistSweepCase* out,
-                     std::string* error) {
+bool parse_case(const std::string& text, DistSweepCase* out,
+                std::string* error) {
   DistSweepCase c;
-  std::istringstream in(text);
-  std::string line;
-  int line_no = 0;
-  auto fail = [&](const std::string& why) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_no) + ": " + why;
-    }
-    return false;
-  };
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    const auto last = line.find_last_not_of(" \t\r");
-    line = line.substr(first, last - first + 1);
-    if (line[0] == '#') continue;
-
-    std::istringstream fields(line);
-    std::string key, value, extra;
-    if (!(fields >> key >> value) || (fields >> extra)) {
-      return fail("expected `key value`: " + line);
-    }
-
+  const auto field = [&c](const std::string& key, const std::string& value) {
     if (key == "protocol") {
-      const auto p = protocol_from_string(value);
-      if (!p) return fail("unknown/unsupported protocol: " + value);
-      c.protocol = *p;
-      continue;
+      std::string why =
+          parse_name(key, value, kAllProtocols.size(), &c.protocol);
+      if (why.empty() && c.protocol != Protocol::kDynamic &&
+          c.protocol != Protocol::kHybrid) {
+        why = "unsupported protocol: " + value;
+      }
+      return why;
     }
-    if (key == "crash_point") {
-      const auto site = fault_site_from_string(value);
-      if (!site) return fail("unknown crash point: " + value);
-      c.plan.crash_point = *site;
-      continue;
+    if (key == "sites") return parse_positive(key, value, &c.sites);
+    if (key == "sharded") return parse_count(value, &c.sharded);
+    if (key == "replicated") return parse_count(value, &c.replicated);
+    if (key == "transactions") return parse_count(value, &c.transactions);
+    if (key == "initial_balance") {
+      return parse_count(value, &c.initial_balance);
     }
-    if (key == "coord_crash_point") {
-      const auto site = fault_site_from_string(value);
-      if (!site) return fail("unknown coordinator crash point: " + value);
-      c.plan.coord_crash_point = *site;
-      continue;
-    }
-
-    std::uint64_t n = 0;
-    try {
-      n = std::stoull(value);
-    } catch (const std::exception&) {
-      return fail("not a number: " + value);
-    }
-    if (key == "sites") {
-      if (n == 0) return fail("sites must be > 0");
-      c.sites = static_cast<int>(n);
-    } else if (key == "sharded") {
-      c.sharded = static_cast<int>(n);
-    } else if (key == "replicated") {
-      c.replicated = static_cast<int>(n);
-    } else if (key == "transactions") {
-      c.transactions = static_cast<int>(n);
-    } else if (key == "initial_balance") {
-      c.initial_balance = static_cast<std::int64_t>(n);
-    } else if (key == "seed") {
-      c.plan.seed = n;
-    } else if (key == "site_fail_permille") {
-      c.plan.site_fail_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "site_recover_permille") {
-      c.plan.site_recover_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "force_fail_permille") {
-      c.plan.force_fail_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "force_max_retries") {
-      c.plan.force_max_retries = static_cast<std::uint32_t>(n);
-    } else if (key == "force_retry_backoff_us") {
-      c.plan.force_retry_backoff_us = static_cast<std::uint32_t>(n);
-    } else if (key == "torn_batch_permille") {
-      c.plan.torn_batch_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "leader_latency_permille") {
-      c.plan.leader_latency_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "leader_latency_us") {
-      c.plan.leader_latency_us = static_cast<std::uint32_t>(n);
-    } else if (key == "crash_at") {
-      c.plan.crash_at_arrival = n;
-    } else if (key == "spurious_timeout_permille") {
-      c.plan.spurious_timeout_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "delayed_wakeup_permille") {
-      c.plan.delayed_wakeup_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "delayed_wakeup_us") {
-      c.plan.delayed_wakeup_us = static_cast<std::uint32_t>(n);
-    } else if (key == "coord_crash_at") {
-      c.plan.coord_crash_at_arrival = n;
-    } else if (key == "coord_recover_permille") {
-      c.plan.coord_recover_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "decision_force_fail_permille") {
-      c.plan.decision_force_fail_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "msg_loss_permille") {
-      c.plan.msg_loss_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "msg_latency_permille") {
-      c.plan.msg_latency_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "msg_latency_us") {
-      c.plan.msg_latency_us = static_cast<std::uint32_t>(n);
-    } else if (key == "msg_retries") {
-      c.plan.msg_retries = static_cast<std::uint32_t>(n);
-    } else if (key == "max_faults") {
-      c.plan.max_faults = n;
-    } else {
-      return fail("unknown key: " + key);
-    }
+    return parse_plan_field(key, value, PlanKeys::kDist, &c.plan);
+  };
+  if (!parse_case_lines(text, field, error)) return false;
+  if (c.sharded + c.replicated == 0) {
+    if (error != nullptr) *error = "no accounts configured";
+    return false;
   }
-  if (c.sharded + c.replicated == 0) return fail("no accounts configured");
   *out = c;
   return true;
 }
 
-DistCaseResult run_dist_case(const DistSweepCase& c) {
+void probe_dist_bank(DistRuntime& dist, std::size_t accounts,
+                     std::int64_t initial_balance, Probes& probes) {
+  std::map<std::string, std::vector<std::int64_t>> by_var;
+  for (const auto& entry : dist.dump(account::balance())) {
+    by_var[entry.var].push_back(entry.value.as_int());
+  }
+  probes.check(by_var.size() == accounts,
+               "dump: " + std::to_string(by_var.size()) + " of " +
+                   std::to_string(accounts) + " variables answered");
+  std::int64_t total = 0;
+  for (const auto& [var, values] : by_var) {
+    total += values.front();
+    for (const std::int64_t v : values) {
+      probes.check(v == values.front(),
+                   "replica agreement: " + var + " has copies " +
+                       std::to_string(values.front()) + " and " +
+                       std::to_string(v));
+    }
+  }
+  const std::int64_t expected =
+      static_cast<std::int64_t>(accounts) * initial_balance;
+  probes.check(total == expected, "conservation: recovered total " +
+                                      std::to_string(total) + " != " +
+                                      std::to_string(expected));
+}
+
+DistCaseResult run_case(const DistSweepCase& c) {
   DistCaseResult result;
-  std::vector<std::string> failures;
-  auto probe = [&](bool ok, const std::string& what) {
-    if (!ok) failures.push_back(what);
-  };
+  Probes probes;
 
   DistOptions options;
   options.sites = static_cast<std::size_t>(c.sites);
@@ -199,13 +100,12 @@ DistCaseResult run_dist_case(const DistSweepCase& c) {
     names.push_back(name);
   }
 
-  std::vector<AtomicitySentinel*> sentinels;
   for (std::size_t i = 0; i < dist.site_count(); ++i) {
     Runtime& rt = dist.site(i).runtime();
     rt.set_wait_timeout_all(std::chrono::milliseconds(200));
     SentinelOptions sentinel_options;
     sentinel_options.window = std::chrono::milliseconds(2);
-    sentinels.push_back(&rt.start_sentinel(sentinel_options));
+    rt.start_sentinel(sentinel_options);
   }
 
   // Seed every account before faults are live: the conservation probe
@@ -278,12 +178,12 @@ DistCaseResult run_dist_case(const DistSweepCase& c) {
   // in-doubt record is unresolvable, which with every peer down only the
   // recovered commit list can break.
   if (!dist.coordinator_up()) {
-    probe(dist.recover_coordinator(), "recover: coordinator failed");
+    probes.check(dist.recover_coordinator(), "recover: coordinator failed");
   }
   for (std::size_t i = 0; i < dist.site_count(); ++i) {
     if (!dist.site(i).up()) {
-      probe(dist.recover(i),
-            "recover: site " + std::to_string(i) + " failed fault-free");
+      probes.check(dist.recover(i), "recover: site " + std::to_string(i) +
+                                        " failed fault-free");
     }
   }
   // Final termination round: with everything up it only re-derives acks
@@ -297,45 +197,21 @@ DistCaseResult run_dist_case(const DistSweepCase& c) {
 
   const DistStats stats = dist.stats();
 
-  // Probe: conservation + replica agreement, via the administrative dump
-  // (bypasses the stale-read rule; every site is up, so every copy of
-  // every variable answers exactly once).
-  {
-    std::map<std::string, std::vector<std::int64_t>> by_var;
-    for (const auto& entry : dist.dump(account::balance())) {
-      by_var[entry.var].push_back(entry.value.as_int());
-    }
-    probe(by_var.size() == names.size(),
-          "dump: " + std::to_string(by_var.size()) + " of " +
-              std::to_string(names.size()) + " variables answered");
-    std::int64_t total = 0;
-    for (const auto& [var, values] : by_var) {
-      total += values.front();
-      for (const std::int64_t v : values) {
-        probe(v == values.front(),
-              "replica agreement: " + var + " has copies " +
-                  std::to_string(values.front()) + " and " +
-                  std::to_string(v));
-      }
-    }
-    const std::int64_t expected =
-        static_cast<std::int64_t>(names.size()) * c.initial_balance;
-    probe(total == expected,
-          "conservation: recovered total " + std::to_string(total) +
-              " != " + std::to_string(expected));
-  }
-  probe(stats.replica_divergence == 0,
-        "replica divergence: " + std::to_string(stats.replica_divergence) +
-            " mismatched write results");
+  probe_dist_bank(dist, names.size(), c.initial_balance, probes);
+  probes.check(stats.replica_divergence == 0,
+               "replica divergence: " +
+                   std::to_string(stats.replica_divergence) +
+                   " mismatched write results");
 
   // With every participant recovered and acks re-synced, the decision
   // log must have truncated to empty — unless torn-batch faults could
   // drop a participant's committed record, in which case catch-up
   // restores the value but the ack is honestly never derivable.
   if (c.plan.torn_batch_permille == 0) {
-    probe(dist.decision_log().outstanding() == 0,
-          "decision log: " + std::to_string(dist.decision_log().outstanding()) +
-              " decisions still outstanding after full recovery");
+    probes.check(dist.decision_log().outstanding() == 0,
+                 "decision log: " +
+                     std::to_string(dist.decision_log().outstanding()) +
+                     " decisions still outstanding after full recovery");
   }
 
   // Probes per site: stable-log order, watermark coverage, and total
@@ -345,60 +221,30 @@ DistCaseResult run_dist_case(const DistSweepCase& c) {
   for (std::size_t i = 0; i < dist.site_count(); ++i) {
     const std::string tag = "site" + std::to_string(i) + " ";
     Runtime& rt = dist.site(i).runtime();
-    probe(rt.tm().log().prepared_records().empty(),
-          tag + "termination: " +
-              std::to_string(rt.tm().log().prepared_records().size()) +
-              " records still in doubt after recovery");
-    const auto records = rt.tm().log().records();
-    const Timestamp watermark = rt.tm().clock().watermark();
-    Timestamp prev = 0;
-    for (const auto& record : records) {
-      probe(record.commit_ts >= prev,
-            tag + "log order: record ts " + std::to_string(record.commit_ts) +
-                " after ts " + std::to_string(prev));
-      prev = record.commit_ts;
-      probe(record.commit_ts <= watermark,
-            tag + "watermark: forced ts " + std::to_string(record.commit_ts) +
-                " above watermark " + std::to_string(watermark));
-    }
+    probes.check(rt.tm().log().prepared_records().empty(),
+                 tag + "termination: " +
+                     std::to_string(rt.tm().log().prepared_records().size()) +
+                     " records still in doubt after recovery");
+    probe_stable_log(rt, probes, tag);
   }
 
   // Formal certification, twice over: each site's local history against
   // its local objects, and the merged cross-site history (one activity
   // per global transaction) against every replica in the deployment.
   const auto read_only = dist.read_only_activities();
-  auto certify = [&](const SystemSpec& system, const History& h,
-                     const std::string& tag) {
-    switch (c.protocol) {
-      case Protocol::kDynamic: {
-        const auto wf = check_well_formed(h);
-        probe(wf.ok(), tag + "well-formed: " + wf.summary());
-        const auto verdict = check_dynamic_atomic(system, h);
-        probe(verdict.ok, tag + "dynamic atomic: " + verdict.explanation);
-        break;
-      }
-      default: {
-        const auto wf = check_well_formed_hybrid(h, read_only);
-        probe(wf.ok(), tag + "well-formed(hybrid): " + wf.summary());
-        const auto verdict = check_hybrid_atomic(system, h);
-        probe(verdict.ok, tag + "hybrid atomic: " + verdict.explanation);
-        break;
-      }
-    }
-  };
   for (std::size_t i = 0; i < dist.site_count(); ++i) {
     Runtime& rt = dist.site(i).runtime();
-    certify(rt.system(), rt.history(), "site" + std::to_string(i) + " ");
+    probes.check(certify(c.protocol, rt.system(), rt.history(), read_only),
+                 "site" + std::to_string(i) + " ");
   }
-  certify(dist.merged_system(), dist.merged_history(), "merged ");
+  probes.check(certify(c.protocol, dist.merged_system(),
+                       dist.merged_history(), read_only),
+               "merged ");
 
   // The online sentinels watched the same run, crash windows included.
   for (std::size_t i = 0; i < dist.site_count(); ++i) {
-    sentinels[i]->stop();
-    probe(sentinels[i]->violations() == 0,
-          "site" + std::to_string(i) +
-              " sentinel: " + sentinels[i]->last_violation());
-    dist.site(i).runtime().stop_sentinel();
+    probe_sentinel(dist.site(i).runtime(), probes,
+                   "site" + std::to_string(i) + " ");
   }
 
   result.faults_injected = 0;
@@ -410,26 +256,11 @@ DistCaseResult run_dist_case(const DistSweepCase& c) {
       result.faults_injected += inj->faults_injected();
     }
   }
-  result.site_fails = stats.site_fails;
-  result.site_recovers = stats.site_recovers;
+  result.stats = stats;
   result.committed =
       stats.one_phase_commits + stats.two_pc_commits + stats.read_only_commits;
-  result.two_pc_commits = stats.two_pc_commits;
   result.aborted = stats.aborts;
-  result.promoted_commits = stats.promoted_commits;
-  result.presumed_aborts = stats.presumed_aborts;
-  result.catchup_txns = stats.catchup_txns;
-  result.coord_crashes = stats.coord_crashes;
-  result.coord_recovers = stats.coord_recovers;
-  result.decisions_logged = stats.decisions_logged;
-  result.msgs_lost = stats.msgs_lost;
-  result.termination_promotions =
-      stats.termination_promoted + stats.termination_peer_promotions;
-  result.ok = failures.empty();
-  for (std::size_t i = 0; i < failures.size(); ++i) {
-    if (i > 0) result.failure += "\n";
-    result.failure += failures[i];
-  }
+  probes.settle(result);
   return result;
 }
 
@@ -571,40 +402,19 @@ std::vector<DistSweepCase> enumerate_dist_cases(
 DistSweepSummary run_dist_sweep(const DistSweepOptions& options) {
   DistSweepSummary summary;
   for (const DistSweepCase& c : enumerate_dist_cases(options)) {
-    const DistCaseResult result = run_dist_case(c);
+    const DistCaseResult result = run_case(c);
     ++summary.cases;
     summary.faults_injected += result.faults_injected;
-    summary.site_fails += result.site_fails;
+    summary.site_fails += result.stats.site_fails;
     summary.committed += result.committed;
-    summary.two_pc_commits += result.two_pc_commits;
-    summary.promoted_commits += result.promoted_commits;
-    summary.coord_crashes += result.coord_crashes;
-    summary.termination_promotions += result.termination_promotions;
+    summary.two_pc_commits += result.stats.two_pc_commits;
+    summary.promoted_commits += result.stats.promoted_commits;
+    summary.coord_crashes += result.stats.coord_crashes;
+    summary.termination_promotions += result.stats.termination_promoted +
+                                      result.stats.termination_peer_promotions;
     if (!result.ok) summary.failures.push_back({c, result.failure});
   }
   return summary;
-}
-
-DistSweepCase minimize_dist_budget(
-    const DistSweepCase& failing,
-    const std::function<bool(const DistSweepCase&)>& still_fails) {
-  DistSweepCase probe = failing;
-  std::uint64_t hi = run_dist_case(failing).faults_injected;
-  probe.plan.max_faults = 0;
-  if (still_fails(probe)) return probe;  // needs no probabilistic faults
-
-  std::uint64_t lo = 0;
-  while (hi - lo > 1) {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    probe.plan.max_faults = mid;
-    if (still_fails(probe)) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  probe.plan.max_faults = hi;
-  return probe;
 }
 
 }  // namespace argus

@@ -44,18 +44,17 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "fault/fault.h"
-#include "sched/factory.h"
+#include "dist/dist_runtime.h"
+#include "sim/case.h"
 
 namespace argus {
 
 /// One sweep configuration. Round-trips through
-/// to_dist_config_string/parse_dist_case (the corpus file format in
-/// tests/corpus/dist/).
+/// to_config_string/parse_case (the corpus file format in
+/// tests/corpus/dist/, see sim/case.h).
 struct DistSweepCase {
   FaultPlan plan;
   Protocol protocol{Protocol::kHybrid};
@@ -68,42 +67,36 @@ struct DistSweepCase {
   friend bool operator==(const DistSweepCase&, const DistSweepCase&) = default;
 };
 
-/// Renders a case as `key value` lines ('#' comments allowed).
-[[nodiscard]] std::string to_dist_config_string(const DistSweepCase& c);
+/// Renders a case as `key value` lines.
+[[nodiscard]] std::string to_config_string(const DistSweepCase& c);
 
-/// Parses the to_dist_config_string format. Unknown keys and malformed
-/// lines are errors; returns false and sets *error.
-[[nodiscard]] bool parse_dist_case(const std::string& text, DistSweepCase* out,
-                                   std::string* error);
+/// Parses the to_config_string format; only the dynamic and hybrid
+/// protocols can hold a 2PC decision open. On failure returns false and
+/// sets *error.
+[[nodiscard]] bool parse_case(const std::string& text, DistSweepCase* out,
+                              std::string* error);
 
-/// Outcome of one case.
-struct DistCaseResult {
-  bool ok{false};
-  std::string failure;  // every failed probe/checker, newline-separated
-  std::string trace;    // merged cross-site dump + '#' fault-trace lines
-  std::uint64_t faults_injected{0};  // coordinator + all site injectors
-  std::uint64_t site_fails{0};
-  std::uint64_t site_recovers{0};
-  std::uint64_t committed{0};  // one-phase + 2PC + read-only
-  std::uint64_t two_pc_commits{0};
-  std::uint64_t aborted{0};
-  std::uint64_t promoted_commits{0};
-  std::uint64_t presumed_aborts{0};
-  std::uint64_t catchup_txns{0};
-  std::uint64_t coord_crashes{0};
-  std::uint64_t coord_recovers{0};
-  std::uint64_t decisions_logged{0};
-  std::uint64_t msgs_lost{0};
-  /// In-doubt records resolved by the termination protocol, via the
-  /// recovered commit list or a surviving peer's stable log.
-  std::uint64_t termination_promotions{0};
+/// Outcome of one case. The trace is the merged cross-site dump;
+/// faults_injected counts the coordinator's and every site's injector;
+/// committed counts one-phase, 2PC and read-only commits.
+struct DistCaseResult : CaseResult {
+  DistStats stats;  // the deployment's counters at the end of the run
 };
 
 /// Runs one case start to finish: build the deployment, seed the bank,
 /// attach the fault plan, drive the workload (ticking liveness), recover
 /// every down site, certify. Deterministic: same case, same result,
 /// byte-equal merged trace.
-[[nodiscard]] DistCaseResult run_dist_case(const DistSweepCase& c);
+[[nodiscard]] DistCaseResult run_case(const DistSweepCase& c);
+
+/// Probes a recovered deployment's bank of `accounts` variables through
+/// the administrative dump (which bypasses the stale-read rule; with
+/// every site up, each copy of each variable answers once): every
+/// variable answers, all copies of a variable agree, and the balances
+/// sum to accounts * initial_balance — no partial 2PC, lost promotion or
+/// catch-up slip may break conservation.
+void probe_dist_bank(DistRuntime& dist, std::size_t accounts,
+                     std::int64_t initial_balance, Probes& probes);
 
 /// Sweep shape: every site count x every fault mix x every protocol x
 /// seeds_per_cell seeds.
@@ -143,16 +136,10 @@ struct DistSweepSummary {
   [[nodiscard]] bool all_ok() const { return failures.empty(); }
 };
 
-/// Runs every enumerated case and aggregates the verdicts.
+/// Runs every enumerated case and aggregates the verdicts. Failing
+/// configurations shrink with minimize_fault_budget (sim/case.h); site
+/// churn counts against the budget like every other fault class.
 [[nodiscard]] DistSweepSummary run_dist_sweep(
     const DistSweepOptions& options = {});
-
-/// Shrinks a failing case to the smallest fault budget that still
-/// reproduces it: binary search on plan.max_faults (site churn counts
-/// against the budget like every other fault class). `still_fails`
-/// decides reproduction (normally !run_dist_case(c).ok).
-[[nodiscard]] DistSweepCase minimize_dist_budget(
-    const DistSweepCase& failing,
-    const std::function<bool(const DistSweepCase&)>& still_fails);
 
 }  // namespace argus

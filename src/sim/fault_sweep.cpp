@@ -1,146 +1,48 @@
 #include "sim/fault_sweep.h"
 
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <unordered_set>
 
-#include "check/atomicity.h"
 #include "common/rng.h"
-#include "core/runtime.h"
-#include "hist/wellformed.h"
+#include "sched/factory.h"
 #include "spec/adts/bank_account.h"
 
 namespace argus {
 
-namespace {
-
-std::optional<Protocol> protocol_from_string(const std::string& name) {
-  for (Protocol p : {Protocol::kDynamic, Protocol::kStatic, Protocol::kHybrid,
-                     Protocol::kTwoPhase, Protocol::kCommutativity,
-                     Protocol::kTimestamp, Protocol::kOcc, Protocol::kMvcc}) {
-    if (to_string(p) == name) return p;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
 std::string to_config_string(const FaultSweepCase& c) {
   std::ostringstream out;
-  out << "# fault-sweep case (replay: examples/fault_replay <file>)\n";
+  out << "# fault-sweep case (replay: examples/case_replay fault <file>)\n";
   out << "protocol " << to_string(c.protocol) << "\n";
   out << "accounts " << c.accounts << "\n";
   out << "transactions " << c.transactions << "\n";
   out << "initial_balance " << c.initial_balance << "\n";
-  out << "seed " << c.plan.seed << "\n";
-  out << "force_fail_permille " << c.plan.force_fail_permille << "\n";
-  out << "force_max_retries " << c.plan.force_max_retries << "\n";
-  out << "force_retry_backoff_us " << c.plan.force_retry_backoff_us << "\n";
-  out << "torn_batch_permille " << c.plan.torn_batch_permille << "\n";
-  out << "leader_latency_permille " << c.plan.leader_latency_permille << "\n";
-  out << "leader_latency_us " << c.plan.leader_latency_us << "\n";
-  out << "crash_point " << to_string(c.plan.crash_point) << "\n";
-  out << "crash_at " << c.plan.crash_at_arrival << "\n";
-  out << "spurious_timeout_permille " << c.plan.spurious_timeout_permille
-      << "\n";
-  out << "delayed_wakeup_permille " << c.plan.delayed_wakeup_permille << "\n";
-  out << "delayed_wakeup_us " << c.plan.delayed_wakeup_us << "\n";
-  out << "max_faults " << c.plan.max_faults << "\n";
+  print_plan(out, c.plan, PlanKeys::kFault);
   return out.str();
 }
 
-bool parse_fault_case(const std::string& text, FaultSweepCase* out,
-                      std::string* error) {
+bool parse_case(const std::string& text, FaultSweepCase* out,
+                std::string* error) {
   FaultSweepCase c;
-  std::istringstream in(text);
-  std::string line;
-  int line_no = 0;
-  auto fail = [&](const std::string& why) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_no) + ": " + why;
-    }
-    return false;
-  };
-  while (std::getline(in, line)) {
-    ++line_no;
-    // Trim; skip blanks and '#' comments (same lexical rules as parse.h).
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    const auto last = line.find_last_not_of(" \t\r");
-    line = line.substr(first, last - first + 1);
-    if (line[0] == '#') continue;
-
-    std::istringstream fields(line);
-    std::string key, value, extra;
-    if (!(fields >> key >> value) || (fields >> extra)) {
-      return fail("expected `key value`: " + line);
-    }
-
+  const auto field = [&c](const std::string& key, const std::string& value) {
     if (key == "protocol") {
-      const auto p = protocol_from_string(value);
-      if (!p) return fail("unknown protocol: " + value);
-      c.protocol = *p;
-      continue;
+      return parse_name(key, value, kAllProtocols.size(), &c.protocol);
     }
-    if (key == "crash_point") {
-      const auto site = fault_site_from_string(value);
-      if (!site) return fail("unknown crash point: " + value);
-      c.plan.crash_point = *site;
-      continue;
+    if (key == "accounts") return parse_positive(key, value, &c.accounts);
+    if (key == "transactions") return parse_count(value, &c.transactions);
+    if (key == "initial_balance") {
+      return parse_count(value, &c.initial_balance);
     }
-
-    std::uint64_t n = 0;
-    try {
-      n = std::stoull(value);
-    } catch (const std::exception&) {
-      return fail("not a number: " + value);
-    }
-    if (key == "accounts") {
-      if (n == 0) return fail("accounts must be > 0");
-      c.accounts = static_cast<int>(n);
-    } else if (key == "transactions") {
-      c.transactions = static_cast<int>(n);
-    } else if (key == "initial_balance") {
-      c.initial_balance = static_cast<std::int64_t>(n);
-    } else if (key == "seed") {
-      c.plan.seed = n;
-    } else if (key == "force_fail_permille") {
-      c.plan.force_fail_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "force_max_retries") {
-      c.plan.force_max_retries = static_cast<std::uint32_t>(n);
-    } else if (key == "force_retry_backoff_us") {
-      c.plan.force_retry_backoff_us = static_cast<std::uint32_t>(n);
-    } else if (key == "torn_batch_permille") {
-      c.plan.torn_batch_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "leader_latency_permille") {
-      c.plan.leader_latency_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "leader_latency_us") {
-      c.plan.leader_latency_us = static_cast<std::uint32_t>(n);
-    } else if (key == "crash_at") {
-      c.plan.crash_at_arrival = n;
-    } else if (key == "spurious_timeout_permille") {
-      c.plan.spurious_timeout_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "delayed_wakeup_permille") {
-      c.plan.delayed_wakeup_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "delayed_wakeup_us") {
-      c.plan.delayed_wakeup_us = static_cast<std::uint32_t>(n);
-    } else if (key == "max_faults") {
-      c.plan.max_faults = n;
-    } else {
-      return fail("unknown key: " + key);
-    }
-  }
+    return parse_plan_field(key, value, PlanKeys::kFault, &c.plan);
+  };
+  if (!parse_case_lines(text, field, error)) return false;
   *out = c;
   return true;
 }
 
-FaultCaseResult run_fault_case(const FaultSweepCase& c) {
+FaultCaseResult run_case(const FaultSweepCase& c) {
   FaultCaseResult result;
-  std::vector<std::string> failures;
-  auto probe = [&](bool ok, const std::string& what) {
-    if (!ok) failures.push_back(what);
-  };
+  Probes probes;
 
   Runtime rt(Runtime::RecorderMode::kFlight);
   std::vector<std::shared_ptr<ManagedObject>> accounts;
@@ -152,18 +54,12 @@ FaultCaseResult run_fault_case(const FaultSweepCase& c) {
   rt.set_wait_timeout_all(std::chrono::milliseconds(200));
   SentinelOptions sentinel_options;
   sentinel_options.window = std::chrono::milliseconds(2);
-  auto& sentinel = rt.start_sentinel(sentinel_options);
+  rt.start_sentinel(sentinel_options);
 
   // Seed the bank before faults are live: the conservation probe needs a
   // known starting total, and the paper's fault model starts from a
   // quiescent committed state anyway.
-  {
-    auto setup = rt.begin();
-    for (auto& a : accounts) {
-      a->invoke(*setup, account::deposit(c.initial_balance));
-    }
-    rt.commit(setup);
-  }
+  seed_accounts(rt, accounts, c.initial_balance);
 
   auto injector = std::make_shared<FaultInjector>(c.plan);
   rt.set_fault_injector(injector);
@@ -183,15 +79,7 @@ FaultCaseResult run_fault_case(const FaultSweepCase& c) {
       if (audit) {
         for (auto& a : accounts) a->invoke(*t, account::balance());
       } else {
-        const std::size_t n = accounts.size();
-        const std::size_t from = rng.below(n);
-        const std::size_t to =
-            n > 1 ? (from + 1 + rng.below(n - 1)) % n : from;
-        const std::int64_t amount = rng.range(1, 5);
-        const Value got = accounts[from]->invoke(*t, account::withdraw(amount));
-        if (got.is_unit()) {
-          accounts[to]->invoke(*t, account::deposit(amount));
-        }
+        random_transfer(*t, accounts, rng, 5);
       }
       rt.commit(t);
     } catch (const TransactionAborted&) {
@@ -207,94 +95,28 @@ FaultCaseResult run_fault_case(const FaultSweepCase& c) {
   rt.set_fault_injector(nullptr);  // recovery and verification run fault-free
   rt.recover();
 
-  // Probe: conservation. Transfers move money or do nothing, so any
-  // recovered total other than the seeded one means a partial commit
-  // survived (or a committed one was lost).
-  {
-    auto check = rt.begin();
-    std::int64_t total = 0;
-    for (auto& a : accounts) {
-      total += a->invoke(*check, account::balance()).as_int();
-    }
-    rt.commit(check);
-    const std::int64_t expected =
-        static_cast<std::int64_t>(c.accounts) * c.initial_balance;
-    probe(total == expected,
-          "conservation: recovered total " + std::to_string(total) +
-              " != " + std::to_string(expected));
-  }
+  probe_conservation(rt, accounts, c.accounts * c.initial_balance, probes);
 
   // Probes over the stable log: replay order and watermark coverage.
-  {
-    const auto records = rt.tm().log().records();
-    result.log_records = records.size();
-    probe(!records.empty(), "log: no record survived (setup must)");
-    const Timestamp watermark = rt.tm().clock().watermark();
-    Timestamp prev = 0;
-    for (const auto& record : records) {
-      probe(record.commit_ts >= prev,
-            "log order: record ts " + std::to_string(record.commit_ts) +
-                " after ts " + std::to_string(prev));
-      prev = record.commit_ts;
-      probe(record.commit_ts <= watermark,
-            "watermark: forced ts " + std::to_string(record.commit_ts) +
-                " above watermark " + std::to_string(watermark));
-    }
-  }
+  result.log_records = probe_stable_log(rt, probes);
+  probes.check(result.log_records > 0, "log: no record survived (setup must)");
 
   // Formal certification: well-formedness plus the protocol's local
   // atomicity property over the full recorded history (crash dooms and
   // all — aborted activities are part of h; perm(h) is what must
   // serialize).
   const History h = rt.history();
-  switch (c.protocol) {
-    case Protocol::kDynamic:
-    case Protocol::kTwoPhase:
-    case Protocol::kCommutativity: {
-      const auto wf = check_well_formed(h);
-      probe(wf.ok(), "well-formed: " + wf.summary());
-      const auto verdict = check_dynamic_atomic(rt.system(), h);
-      probe(verdict.ok, "dynamic atomic: " + verdict.explanation);
-      break;
-    }
-    case Protocol::kStatic:
-    case Protocol::kTimestamp: {
-      const auto wf = check_well_formed_static(h);
-      probe(wf.ok(), "well-formed(static): " + wf.summary());
-      const auto verdict = check_static_atomic(rt.system(), h);
-      probe(verdict.ok, "static atomic: " + verdict.explanation);
-      break;
-    }
-    case Protocol::kHybrid:
-    case Protocol::kOcc:
-    case Protocol::kMvcc: {
-      // OCC/MVCC updates serialize at their commit timestamp (serial
-      // validation at the pipeline turn), so their histories satisfy the
-      // same hybrid-atomicity property.
-      const auto wf = check_well_formed_hybrid(h, read_only);
-      probe(wf.ok(), "well-formed(hybrid): " + wf.summary());
-      const auto verdict = check_hybrid_atomic(rt.system(), h);
-      probe(verdict.ok, "hybrid atomic: " + verdict.explanation);
-      break;
-    }
-  }
+  probes.check(certify(c.protocol, rt.system(), h, read_only));
 
   // The online sentinel watched the same run, including the crash window.
-  sentinel.stop();
-  probe(sentinel.violations() == 0,
-        "sentinel: " + sentinel.last_violation());
-  rt.stop_sentinel();
+  probe_sentinel(rt, probes);
 
   const TxnStats stats = rt.tm().stats();
   result.committed = stats.committed;
   result.aborted = stats.aborted;
   result.faults_injected = injector->faults_injected();
   result.trace = h.to_string() + injector->trace_to_string();
-  result.ok = failures.empty();
-  for (std::size_t i = 0; i < failures.size(); ++i) {
-    if (i > 0) result.failure += "\n";
-    result.failure += failures[i];
-  }
+  probes.settle(result);
   return result;
 }
 
@@ -379,7 +201,7 @@ std::vector<FaultSweepCase> enumerate_fault_cases(
 FaultSweepSummary run_fault_sweep(const FaultSweepOptions& options) {
   FaultSweepSummary summary;
   for (const FaultSweepCase& c : enumerate_fault_cases(options)) {
-    const FaultCaseResult result = run_fault_case(c);
+    const FaultCaseResult result = run_case(c);
     ++summary.cases;
     if (result.crashed_mid_run) ++summary.crashed_mid_run;
     summary.faults_injected += result.faults_injected;
@@ -387,31 +209,6 @@ FaultSweepSummary run_fault_sweep(const FaultSweepOptions& options) {
     if (!result.ok) summary.failures.push_back({c, result.failure});
   }
   return summary;
-}
-
-FaultSweepCase minimize_fault_budget(
-    const FaultSweepCase& failing,
-    const std::function<bool(const FaultSweepCase&)>& still_fails) {
-  // Upper bound: the fault count of the full failing run (its budget may
-  // be unlimited; any fault past the last injected one is irrelevant).
-  FaultSweepCase probe = failing;
-  std::uint64_t hi = run_fault_case(failing).faults_injected;
-  probe.plan.max_faults = 0;
-  if (still_fails(probe)) return probe;  // needs no probabilistic faults
-
-  // Invariant: fails at budget hi (the original failure), passes at lo.
-  std::uint64_t lo = 0;
-  while (hi - lo > 1) {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    probe.plan.max_faults = mid;
-    if (still_fails(probe)) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  probe.plan.max_faults = hi;
-  return probe;
 }
 
 }  // namespace argus

@@ -26,18 +26,16 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "fault/fault.h"
-#include "sched/factory.h"
+#include "sim/case.h"
 
 namespace argus {
 
 /// One sweep configuration: a fault plan plus the workload shape. The
-/// whole struct round-trips through to_config_string/parse_fault_case
-/// (the corpus file format).
+/// whole struct round-trips through to_config_string/parse_case (the
+/// corpus file format, see sim/case.h).
 struct FaultSweepCase {
   FaultPlan plan;
   Protocol protocol{Protocol::kDynamic};
@@ -49,26 +47,19 @@ struct FaultSweepCase {
       default;
 };
 
-/// Renders a case as `key value` lines (one per field, '#' comments
-/// allowed) — the format checked into tests/corpus/*.txt.
+/// Renders a case as `key value` lines — the format checked into
+/// tests/corpus/*.txt.
 [[nodiscard]] std::string to_config_string(const FaultSweepCase& c);
 
-/// Parses the to_config_string format. Unknown keys and malformed lines
-/// are errors (a corpus file that silently half-applies would defeat the
-/// point of replay). On failure returns false and sets *error.
-[[nodiscard]] bool parse_fault_case(const std::string& text,
-                                    FaultSweepCase* out, std::string* error);
+/// Parses the to_config_string format; on failure returns false and sets
+/// *error.
+[[nodiscard]] bool parse_case(const std::string& text, FaultSweepCase* out,
+                              std::string* error);
 
 /// Outcome of one case: the certification verdict plus enough context to
 /// report and replay it.
-struct FaultCaseResult {
-  bool ok{false};
-  std::string failure;  // every failed probe/checker, newline-separated
-  std::string trace;    // parse.h history dump + '#' fault-trace lines
+struct FaultCaseResult : CaseResult {
   bool crashed_mid_run{false};  // the pinned crash fired during the workload
-  std::uint64_t faults_injected{0};
-  std::uint64_t committed{0};
-  std::uint64_t aborted{0};
   std::uint64_t log_records{0};
 };
 
@@ -76,7 +67,7 @@ struct FaultCaseResult {
 /// drive the workload until done (or the pinned crash fires), crash,
 /// recover, certify. Deterministic: same case, same result, byte-equal
 /// trace.
-[[nodiscard]] FaultCaseResult run_fault_case(const FaultSweepCase& c);
+[[nodiscard]] FaultCaseResult run_case(const FaultSweepCase& c);
 
 /// Sweep shape: every crash point (plus "no pinned crash") x every fault
 /// mix x every protocol x seeds_per_cell seeds.
@@ -108,18 +99,9 @@ struct FaultSweepSummary {
 };
 
 /// Runs every enumerated case and aggregates the verdicts. Failing
-/// configurations come back as replayable configs (to_config_string).
+/// configurations come back as replayable configs (to_config_string);
+/// minimize_fault_budget (sim/case.h) shrinks them.
 [[nodiscard]] FaultSweepSummary run_fault_sweep(
     const FaultSweepOptions& options = {});
-
-/// Shrinks a failing case to the smallest fault budget that still
-/// reproduces it: binary search on plan.max_faults in [0, F] where F is
-/// the fault count of the full failing run. `still_fails` decides
-/// reproduction (normally !run_fault_case(c).ok). Returns the minimized
-/// case; if even budget 0 fails (the failure needs no probabilistic
-/// faults at all) that is the answer.
-[[nodiscard]] FaultSweepCase minimize_fault_budget(
-    const FaultSweepCase& failing,
-    const std::function<bool(const FaultSweepCase&)>& still_fails);
 
 }  // namespace argus

@@ -1,40 +1,19 @@
 #include "sim/sched_explore.h"
 
 #include <memory>
-#include <optional>
 #include <sstream>
 
-#include "check/atomicity.h"
 #include "common/rng.h"
 #include "common/scope_guard.h"
-#include "core/dynamic_object.h"
-#include "core/runtime.h"
 #include "dsched/task_lane.h"
-#include "hist/wellformed.h"
 #include "sched/executor.h"
+#include "sched/factory.h"
 #include "spec/adts/bank_account.h"
 #include "spec/adts/fifo_queue.h"
 
 namespace argus {
 
 namespace {
-
-std::optional<Protocol> protocol_from_string(const std::string& name) {
-  for (Protocol p : {Protocol::kDynamic, Protocol::kStatic, Protocol::kHybrid,
-                     Protocol::kTwoPhase, Protocol::kCommutativity,
-                     Protocol::kTimestamp, Protocol::kOcc, Protocol::kMvcc}) {
-    if (to_string(p) == name) return p;
-  }
-  return std::nullopt;
-}
-
-std::optional<ScheduleKind> kind_from_string(const std::string& name) {
-  for (ScheduleKind k : {ScheduleKind::kRandom, ScheduleKind::kPct,
-                         ScheduleKind::kDfs, ScheduleKind::kReplay}) {
-    if (to_string(k) == name) return k;
-  }
-  return std::nullopt;
-}
 
 /// Per-lane decision stream, derived from the case seed so the whole
 /// workload is a pure function of (case, schedule).
@@ -43,26 +22,32 @@ SplitMix64 lane_rng(const SchedCase& c, int lane) {
                     static_cast<std::uint64_t>(lane));
 }
 
-/// One lane's bank workload: transfers that read back the debited
-/// account inside the same transaction. The balance read is the
-/// regression tripwire — a chaos-admitted stale view records a balance
-/// that cannot replay in canonical commit order, which is exactly what
-/// the dynamic-atomicity checker rejects.
-void bank_lane(Runtime& rt, const SchedCase& c,
-               const std::vector<std::shared_ptr<ManagedObject>>& objects,
-               FaultInjector* injector, int lane) {
+/// One lane's workload, txns_per_lane transactions, stopping once the
+/// pinned crash has fired.
+///   * bank: transfers that read back the debited account inside the
+///     same transaction. The balance read is the regression tripwire — a
+///     chaos-admitted stale view records a balance that cannot replay in
+///     canonical commit order, which is exactly what the
+///     dynamic-atomicity checker rejects.
+///   * queue: enqueue a lane-unique value, sometimes dequeue (always
+///     enabled: the own enqueue is already in this transaction's view).
+void run_lane(Runtime& rt, const SchedCase& c, bool bank,
+              const std::vector<std::shared_ptr<ManagedObject>>& objects,
+              FaultInjector* injector, int lane) {
   SplitMix64 rng = lane_rng(c, lane);
-  const std::size_t n = objects.size();
   for (int i = 0; i < c.txns_per_lane; ++i) {
     if (injector != nullptr && injector->crashes_fired() > 0) break;
     auto t = rt.begin();
     try {
-      const std::size_t from = rng.below(n);
-      const std::size_t to = n > 1 ? (from + 1 + rng.below(n - 1)) % n : from;
-      const std::int64_t amount = rng.range(1, 3);
-      const Value got = objects[from]->invoke(*t, account::withdraw(amount));
-      if (got.is_unit()) objects[to]->invoke(*t, account::deposit(amount));
-      objects[from]->invoke(*t, account::balance());
+      if (bank) {
+        const std::size_t from = random_transfer(*t, objects, rng, 3);
+        objects[from]->invoke(*t, account::balance());
+      } else {
+        const std::size_t at = rng.below(objects.size());
+        objects[at]->invoke(
+            *t, fifo::enqueue(static_cast<std::int64_t>(lane) * 1000 + i));
+        if (rng.chance(1, 2)) objects[at]->invoke(*t, fifo::dequeue());
+      }
       rt.commit(t);
     } catch (const TransactionAborted&) {
       rt.abort(t);
@@ -108,15 +93,7 @@ std::uint64_t run_executor_lanes(
         task.label = "transfer";
         task.body = [&objects, injector](Transaction& txn, SplitMix64& rng) {
           if (injector != nullptr && injector->crashes_fired() > 0) return;
-          const std::size_t n = objects.size();
-          const std::size_t from = rng.below(n);
-          const std::size_t to =
-              n > 1 ? (from + 1 + rng.below(n - 1)) % n : from;
-          const std::int64_t amount = rng.range(1, 3);
-          if (objects[from]->invoke(txn, account::withdraw(amount))
-                  .is_unit()) {
-            objects[to]->invoke(txn, account::deposit(amount));
-          }
+          random_transfer(txn, objects, rng, 3);
         };
       }
       pool.submit(std::move(task));
@@ -128,37 +105,11 @@ std::uint64_t run_executor_lanes(
   return pool.stats().gave_up;
 }
 
-/// One lane's queue workload: enqueue a lane-unique value, sometimes
-/// dequeue (always enabled: the own enqueue is already in this
-/// transaction's view).
-void queue_lane(Runtime& rt, const SchedCase& c,
-                const std::vector<std::shared_ptr<ManagedObject>>& objects,
-                FaultInjector* injector, int lane) {
-  SplitMix64 rng = lane_rng(c, lane);
-  const std::size_t n = objects.size();
-  for (int i = 0; i < c.txns_per_lane; ++i) {
-    if (injector != nullptr && injector->crashes_fired() > 0) break;
-    auto t = rt.begin();
-    try {
-      const std::size_t at = rng.below(n);
-      objects[at]->invoke(
-          *t, fifo::enqueue(static_cast<std::int64_t>(lane) * 1000 + i));
-      if (rng.chance(1, 2)) objects[at]->invoke(*t, fifo::dequeue());
-      rt.commit(t);
-    } catch (const TransactionAborted&) {
-      rt.abort(t);
-    }
-  }
-}
-
 /// Runs one case under an externally owned schedule source (external so
 /// run_dfs_explore can drive many runs through one DFS source).
 SchedCaseResult run_with_source(const SchedCase& c, ScheduleSource& source) {
   SchedCaseResult result;
-  std::vector<std::string> failures;
-  auto probe = [&](bool ok, const std::string& what) {
-    if (!ok) failures.push_back(what);
-  };
+  Probes probes;
 
   source.begin_run();
   DschedOptions sched_options;
@@ -195,13 +146,7 @@ SchedCaseResult run_with_source(const SchedCase& c, ScheduleSource& source) {
 
   // Setup runs on the control thread (a pass-through, not a lane) before
   // any lane exists, so it is trivially deterministic.
-  if (bank) {
-    auto setup = rt.begin();
-    for (auto& o : objects) {
-      o->invoke(*setup, account::deposit(c.initial_balance));
-    }
-    rt.commit(setup);
-  }
+  if (bank) seed_accounts(rt, objects, c.initial_balance);
 
   FaultPlan plan = c.fault;
   plan.seed = c.seed;  // one seed drives schedule and faults alike
@@ -221,19 +166,15 @@ SchedCaseResult run_with_source(const SchedCase& c, ScheduleSource& source) {
   if (c.max_retries > 0 && bank) {
     const std::uint64_t gave_up =
         run_executor_lanes(sched, rt, c, objects, injector.get());
-    probe(gave_up == 0, "starvation: " + std::to_string(gave_up) +
-                            " task(s) exhausted max_retries " +
-                            std::to_string(c.max_retries));
+    probes.check(gave_up == 0, "starvation: " + std::to_string(gave_up) +
+                                   " task(s) exhausted max_retries " +
+                                   std::to_string(c.max_retries));
   } else {
     const std::size_t daemon_lanes = sched.lane_count();
     for (int lane = 0; lane < c.lanes; ++lane) {
       sched.spawn("lane" + std::to_string(lane), [&rt, &c, &objects, injector,
                                                   bank, lane] {
-        if (bank) {
-          bank_lane(rt, c, objects, injector.get(), lane);
-        } else {
-          queue_lane(rt, c, objects, injector.get(), lane);
-        }
+        run_lane(rt, c, bank, objects, injector.get(), lane);
       });
     }
     sched.await_lanes(daemon_lanes + static_cast<std::size_t>(c.lanes));
@@ -244,10 +185,10 @@ SchedCaseResult run_with_source(const SchedCase& c, ScheduleSource& source) {
   result.steps = sched.steps();
   result.overflowed = sched.overflowed();
   result.crashed_mid_run = injector->crashes_fired() > 0;
-  probe(!result.overflowed,
-        "scheduler: run exceeded max_steps (not certifiable)");
+  probes.check(!result.overflowed,
+               "scheduler: run exceeded max_steps (not certifiable)");
   for (const std::string& e : sched.lane_errors()) {
-    failures.push_back("lane error: " + e);
+    probes.fail("lane error: " + e);
   }
 
   // Whole-node failure then recovery, exactly like the fault sweep, so
@@ -262,94 +203,33 @@ SchedCaseResult run_with_source(const SchedCase& c, ScheduleSource& source) {
     // A log that does not replay is itself a certification failure (the
     // expected symptom of chaos admission: recorded results that no
     // serial order reproduces).
-    failures.push_back(std::string("recovery: ") + e.what());
+    probes.fail(std::string("recovery: ") + e.what());
   }
 
   // Probe: conservation (meaningless under chaos admission, where lost
   // and duplicated money is the expected symptom).
   if (recovered && bank && !c.weaken_admission) {
-    auto check = rt.begin();
-    std::int64_t total = 0;
-    for (auto& o : objects) {
-      total += o->invoke(*check, account::balance()).as_int();
-    }
-    rt.commit(check);
-    const std::int64_t expected =
-        static_cast<std::int64_t>(c.objects) * c.initial_balance;
-    probe(total == expected,
-          "conservation: recovered total " + std::to_string(total) +
-              " != " + std::to_string(expected));
+    probe_conservation(rt, objects, c.objects * c.initial_balance, probes);
   }
 
   // Probes over the stable log: replay order and watermark coverage.
-  {
-    const auto records = rt.tm().log().records();
-    const Timestamp watermark = rt.tm().clock().watermark();
-    Timestamp prev = 0;
-    for (const auto& record : records) {
-      probe(record.commit_ts >= prev,
-            "log order: record ts " + std::to_string(record.commit_ts) +
-                " after ts " + std::to_string(prev));
-      prev = record.commit_ts;
-      probe(record.commit_ts <= watermark,
-            "watermark: forced ts " + std::to_string(record.commit_ts) +
-                " above watermark " + std::to_string(watermark));
-    }
-  }
+  probe_stable_log(rt, probes);
 
   // Formal certification over the full recorded history (this workload
-  // has no read-only activities).
+  // has no read-only activities). Chaos admission breaks a dynamic
+  // object, so that is the property it must be caught violating.
   const History h = rt.history();
-  switch (c.weaken_admission ? Protocol::kDynamic : c.protocol) {
-    case Protocol::kDynamic:
-    case Protocol::kTwoPhase:
-    case Protocol::kCommutativity: {
-      const auto wf = check_well_formed(h);
-      probe(wf.ok(), "well-formed: " + wf.summary());
-      const auto verdict = check_dynamic_atomic(rt.system(), h);
-      probe(verdict.ok, "dynamic atomic: " + verdict.explanation);
-      break;
-    }
-    case Protocol::kStatic:
-    case Protocol::kTimestamp: {
-      const auto wf = check_well_formed_static(h);
-      probe(wf.ok(), "well-formed(static): " + wf.summary());
-      const auto verdict = check_static_atomic(rt.system(), h);
-      probe(verdict.ok, "static atomic: " + verdict.explanation);
-      break;
-    }
-    case Protocol::kHybrid:
-    case Protocol::kOcc:
-    case Protocol::kMvcc: {
-      // OCC/MVCC serialize updates at their commit timestamp (validation
-      // runs at the pipeline's turn), so their histories are certified
-      // against the same hybrid-atomicity property.
-      const auto wf = check_well_formed_hybrid(h, {});
-      probe(wf.ok(), "well-formed(hybrid): " + wf.summary());
-      const auto verdict = check_hybrid_atomic(rt.system(), h);
-      probe(verdict.ok, "hybrid atomic: " + verdict.explanation);
-      break;
-    }
-  }
+  probes.check(certify(c.weaken_admission ? Protocol::kDynamic : c.protocol,
+                       rt.system(), h));
 
-  if (AtomicitySentinel* sentinel = rt.sentinel()) {
-    sentinel->stop();
-    result.sentinel_violations = sentinel->violations();
-    probe(result.sentinel_violations == 0,
-          "sentinel: " + sentinel->last_violation());
-    rt.stop_sentinel();
-  }
+  probe_sentinel(rt, probes);
 
   const TxnStats stats = rt.tm().stats();
   result.committed = stats.committed;
   result.aborted = stats.aborted;
   result.faults_injected = injector->faults_injected();
   result.trace = h.to_string() + injector->trace_to_string();
-  result.ok = failures.empty();
-  for (std::size_t i = 0; i < failures.size(); ++i) {
-    if (i > 0) result.failure += "\n";
-    result.failure += failures[i];
-  }
+  probes.settle(result);
   return result;
 }
 
@@ -371,7 +251,7 @@ std::string to_string(ScheduleKind kind) {
 
 std::string to_config_string(const SchedCase& c) {
   std::ostringstream out;
-  out << "# dsched case (replay: sched_corpus_test <file>)\n";
+  out << "# dsched case (replay: examples/case_replay sched <file>)\n";
   out << "kind " << to_string(c.kind) << "\n";
   out << "seed " << c.seed << "\n";
   out << "pct_change_points " << c.pct_change_points << "\n";
@@ -384,144 +264,58 @@ std::string to_config_string(const SchedCase& c) {
   out << "live_sentinel " << (c.live_sentinel ? 1 : 0) << "\n";
   out << "weaken_admission " << (c.weaken_admission ? 1 : 0) << "\n";
   out << "max_retries " << c.max_retries << "\n";
-  out << "force_fail_permille " << c.fault.force_fail_permille << "\n";
-  out << "force_max_retries " << c.fault.force_max_retries << "\n";
-  out << "force_retry_backoff_us " << c.fault.force_retry_backoff_us << "\n";
-  out << "torn_batch_permille " << c.fault.torn_batch_permille << "\n";
-  out << "leader_latency_permille " << c.fault.leader_latency_permille
-      << "\n";
-  out << "leader_latency_us " << c.fault.leader_latency_us << "\n";
-  out << "crash_point " << to_string(c.fault.crash_point) << "\n";
-  out << "crash_at " << c.fault.crash_at_arrival << "\n";
-  out << "spurious_timeout_permille " << c.fault.spurious_timeout_permille
-      << "\n";
-  out << "delayed_wakeup_permille " << c.fault.delayed_wakeup_permille
-      << "\n";
-  out << "delayed_wakeup_us " << c.fault.delayed_wakeup_us << "\n";
-  out << "max_faults " << c.fault.max_faults << "\n";
+  print_plan(out, c.fault, PlanKeys::kSched);
   if (!c.schedule.empty()) out << "schedule " << c.schedule << "\n";
   return out.str();
 }
 
-bool parse_sched_case(const std::string& text, SchedCase* out,
-                      std::string* error) {
+bool parse_case(const std::string& text, SchedCase* out, std::string* error) {
   SchedCase c;
-  std::istringstream in(text);
-  std::string line;
-  int line_no = 0;
-  auto fail = [&](const std::string& why) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_no) + ": " + why;
-    }
-    return false;
-  };
-  while (std::getline(in, line)) {
-    ++line_no;
-    // Trim; skip blanks and '#' comments (same lexical rules as parse.h).
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    const auto last = line.find_last_not_of(" \t\r");
-    line = line.substr(first, last - first + 1);
-    if (line[0] == '#') continue;
-
-    std::istringstream fields(line);
-    std::string key, value, extra;
-    if (!(fields >> key >> value) || (fields >> extra)) {
-      return fail("expected `key value`: " + line);
-    }
-
+  const auto field = [&c](const std::string& key,
+                          const std::string& value) -> std::string {
     if (key == "kind") {
-      const auto k = kind_from_string(value);
-      if (!k) return fail("unknown schedule kind: " + value);
-      c.kind = *k;
-      continue;
+      return parse_name("schedule kind", value, kScheduleKindCount, &c.kind);
+    }
+    if (key == "seed") return parse_count(value, &c.seed);
+    if (key == "pct_change_points") {
+      return parse_count(value, &c.pct_change_points);
     }
     if (key == "protocol") {
-      const auto p = protocol_from_string(value);
-      if (!p) return fail("unknown protocol: " + value);
-      c.protocol = *p;
-      continue;
+      return parse_name(key, value, kAllProtocols.size(), &c.protocol);
     }
     if (key == "adt") {
-      if (value != "bank" && value != "queue") {
-        return fail("unknown adt: " + value);
-      }
+      if (value != "bank" && value != "queue") return "unknown adt: " + value;
       c.adt = value;
-      continue;
+      return "";
     }
-    if (key == "crash_point") {
-      const auto site = fault_site_from_string(value);
-      if (!site) return fail("unknown crash point: " + value);
-      c.fault.crash_point = *site;
-      continue;
+    if (key == "objects") return parse_positive(key, value, &c.objects);
+    if (key == "lanes") return parse_positive(key, value, &c.lanes);
+    if (key == "txns_per_lane") return parse_count(value, &c.txns_per_lane);
+    if (key == "initial_balance") {
+      return parse_count(value, &c.initial_balance);
     }
+    if (key == "live_sentinel") return parse_count(value, &c.live_sentinel);
+    if (key == "weaken_admission") {
+      return parse_count(value, &c.weaken_admission);
+    }
+    if (key == "max_retries") return parse_count(value, &c.max_retries);
     if (key == "schedule") {
       std::vector<std::uint32_t> choices;
-      std::string sched_error;
-      if (!parse_schedule_string(value, &choices, &sched_error)) {
-        return fail("bad schedule: " + sched_error);
+      std::string why;
+      if (!parse_schedule_string(value, &choices, &why)) {
+        return "bad schedule: " + why;
       }
       c.schedule = value;
-      continue;
+      return "";
     }
-
-    std::uint64_t n = 0;
-    try {
-      n = std::stoull(value);
-    } catch (const std::exception&) {
-      return fail("not a number: " + value);
-    }
-    if (key == "seed") {
-      c.seed = n;
-    } else if (key == "pct_change_points") {
-      c.pct_change_points = static_cast<std::uint32_t>(n);
-    } else if (key == "objects") {
-      if (n == 0) return fail("objects must be > 0");
-      c.objects = static_cast<int>(n);
-    } else if (key == "lanes") {
-      if (n == 0) return fail("lanes must be > 0");
-      c.lanes = static_cast<int>(n);
-    } else if (key == "txns_per_lane") {
-      c.txns_per_lane = static_cast<int>(n);
-    } else if (key == "initial_balance") {
-      c.initial_balance = static_cast<std::int64_t>(n);
-    } else if (key == "live_sentinel") {
-      c.live_sentinel = n != 0;
-    } else if (key == "weaken_admission") {
-      c.weaken_admission = n != 0;
-    } else if (key == "max_retries") {
-      c.max_retries = static_cast<int>(n);
-    } else if (key == "force_fail_permille") {
-      c.fault.force_fail_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "force_max_retries") {
-      c.fault.force_max_retries = static_cast<std::uint32_t>(n);
-    } else if (key == "force_retry_backoff_us") {
-      c.fault.force_retry_backoff_us = static_cast<std::uint32_t>(n);
-    } else if (key == "torn_batch_permille") {
-      c.fault.torn_batch_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "leader_latency_permille") {
-      c.fault.leader_latency_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "leader_latency_us") {
-      c.fault.leader_latency_us = static_cast<std::uint32_t>(n);
-    } else if (key == "crash_at") {
-      c.fault.crash_at_arrival = n;
-    } else if (key == "spurious_timeout_permille") {
-      c.fault.spurious_timeout_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "delayed_wakeup_permille") {
-      c.fault.delayed_wakeup_permille = static_cast<std::uint32_t>(n);
-    } else if (key == "delayed_wakeup_us") {
-      c.fault.delayed_wakeup_us = static_cast<std::uint32_t>(n);
-    } else if (key == "max_faults") {
-      c.fault.max_faults = n;
-    } else {
-      return fail("unknown key: " + key);
-    }
-  }
+    return parse_plan_field(key, value, PlanKeys::kSched, &c.fault);
+  };
+  if (!parse_case_lines(text, field, error)) return false;
   *out = c;
   return true;
 }
 
-SchedCaseResult run_sched_case(const SchedCase& c) {
+SchedCaseResult run_case(const SchedCase& c) {
   switch (c.kind) {
     case ScheduleKind::kRandom: {
       RandomScheduleSource source(c.seed);
@@ -682,7 +476,7 @@ std::vector<SchedCase> enumerate_sched_cases(
 SchedExploreSummary run_sched_explore(const SchedExploreOptions& options) {
   SchedExploreSummary summary;
   for (const SchedCase& c : enumerate_sched_cases(options)) {
-    const SchedCaseResult result = run_sched_case(c);
+    const SchedCaseResult result = run_case(c);
     ++summary.cases;
     if (result.ok) ++summary.certified;
     if (result.crashed_mid_run) ++summary.crashed_mid_run;
@@ -696,7 +490,7 @@ SchedExploreSummary run_sched_explore(const SchedExploreOptions& options) {
       failure.schedule = result.schedule;
       failure.minimized = minimize_failing_schedule(
           c, result.schedule,
-          [](const SchedCase& probe) { return !run_sched_case(probe).ok; });
+          [](const SchedCase& probe) { return !run_case(probe).ok; });
       summary.failures.push_back(std::move(failure));
     }
   }
@@ -722,24 +516,13 @@ SchedCase minimize_failing_schedule(
   };
 
   // Past the replayed prefix the source defaults to the lowest-id ready
-  // lane, so a prefix of length 0 is "the default schedule".
-  probe.schedule = prefix(0);
-  if (still_fails(probe)) return probe;
-
-  // Invariant: fails at prefix hi (the full recording reproduces the
-  // failure by construction), passes at lo.
-  std::size_t lo = 0;
-  std::size_t hi = choices.size();
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    probe.schedule = prefix(mid);
-    if (still_fails(probe)) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  probe.schedule = prefix(hi);
+  // lane, so a prefix of length 0 is "the default schedule". The full
+  // recording reproduces the failure by construction.
+  probe.schedule = prefix(bisect_smallest_failing(
+      choices.size(), [&](std::uint64_t len) {
+        probe.schedule = prefix(len);
+        return still_fails(probe);
+      }));
   return probe;
 }
 

@@ -10,7 +10,8 @@
 // extended to thread interleavings. Every run additionally emits a
 // compact schedule string; replaying it (ScheduleKind::kReplay) pins the
 // exact interleaving, and prefix-length bisection over that string is
-// the schedule minimizer (mirroring minimize_fault_budget).
+// the schedule minimizer (the same bisection as minimize_fault_budget,
+// sim/case.h).
 //
 // Exploration strategies per case: seeded-random, PCT-style priority
 // schedules with k change points, and (run_dfs_explore) exhaustive DFS
@@ -25,8 +26,7 @@
 #include <vector>
 
 #include "dsched/schedule_source.h"
-#include "fault/fault.h"
-#include "sched/factory.h"
+#include "sim/case.h"
 
 namespace argus {
 
@@ -37,11 +37,13 @@ enum class ScheduleKind {
   kReplay,  // replay SchedCase::schedule exactly
 };
 
+inline constexpr std::size_t kScheduleKindCount = 4;
+
 [[nodiscard]] std::string to_string(ScheduleKind kind);
 
 /// One explorer configuration. Round-trips through
-/// to_config_string/parse_sched_case (the tests/corpus/sched file
-/// format).
+/// to_config_string/parse_case (the tests/corpus/sched file format, see
+/// sim/case.h).
 struct SchedCase {
   ScheduleKind kind{ScheduleKind::kRandom};
   /// Drives the schedule source AND the fault plan (plan seed is
@@ -73,33 +75,26 @@ struct SchedCase {
   friend bool operator==(const SchedCase&, const SchedCase&) = default;
 };
 
-/// Renders a case as `key value` lines ('#' comments allowed).
+/// Renders a case as `key value` lines.
 [[nodiscard]] std::string to_config_string(const SchedCase& c);
 
-/// Parses the to_config_string format. Unknown keys and malformed lines
-/// are errors. On failure returns false and sets *error.
-[[nodiscard]] bool parse_sched_case(const std::string& text, SchedCase* out,
-                                    std::string* error);
+/// Parses the to_config_string format; on failure returns false and sets
+/// *error.
+[[nodiscard]] bool parse_case(const std::string& text, SchedCase* out,
+                              std::string* error);
 
-struct SchedCaseResult {
-  bool ok{false};
-  std::string failure;   // every failed probe/checker, newline-separated
-  std::string trace;     // parse.h history dump + '#' fault-trace lines
+struct SchedCaseResult : CaseResult {
   std::string schedule;  // the schedule string this run took
   std::uint64_t steps{0};
   bool overflowed{false};
   bool crashed_mid_run{false};
-  std::uint64_t committed{0};
-  std::uint64_t aborted{0};
-  std::uint64_t faults_injected{0};
-  std::uint64_t sentinel_violations{0};
 };
 
 /// Runs one case start to finish under the deterministic scheduler:
 /// build the objects, attach the injector, drive the lanes to
 /// completion, crash, recover, certify. Deterministic: same case, same
 /// result, byte-equal trace, identical schedule string.
-[[nodiscard]] SchedCaseResult run_sched_case(const SchedCase& c);
+[[nodiscard]] SchedCaseResult run_case(const SchedCase& c);
 
 /// The independence relation used for sleep-set pruning: two steps
 /// commute when they are object invocations by different lanes that
@@ -166,11 +161,11 @@ struct SchedExploreSummary {
     const SchedExploreOptions& options = {});
 
 /// Shrinks a failing run's schedule to the shortest replay prefix that
-/// still reproduces the failure: binary search on the prefix length
-/// (past the prefix, replay defaults to the lowest-id ready lane).
-/// `recorded` is the failing run's full schedule string; `still_fails`
-/// decides reproduction (normally !run_sched_case(c).ok). Returns the
-/// kReplay case; if even the empty prefix fails, that is the answer.
+/// still reproduces the failure: bisection on the prefix length (past
+/// the prefix, replay defaults to the lowest-id ready lane). `recorded`
+/// is the failing run's full schedule string; `still_fails` decides
+/// reproduction (normally !run_case(c).ok). Returns the kReplay case; if
+/// even the empty prefix fails, that is the answer.
 [[nodiscard]] SchedCase minimize_failing_schedule(
     const SchedCase& failing, const std::string& recorded,
     const std::function<bool(const SchedCase&)>& still_fails);

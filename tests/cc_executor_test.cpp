@@ -12,16 +12,15 @@
 //     after exactly max_retries+1 attempts and leaves the runtime
 //     healthy;
 //   * telemetry gating — lock-mode-only series (deadlocks resolved,
-//     object waits) disappear under OCC/MVCC; argus_executor_* appears
-//     once a pool has run.
+//     object waits) disappear when no object can block (all OCC/MVCC);
+//     argus_executor_* appears once a pool has run.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <thread>
 
-#include "check/atomicity.h"
-#include "hist/wellformed.h"
+#include "check/certify.h"
 #include "sched/executor.h"
 #include "sched/factory.h"
 #include "spec/adts/bank_account.h"
@@ -40,7 +39,7 @@ ExecutorOptions pool_of(int workers) {
 // The pool
 
 TEST(TxnExecutor, RunsEverySubmittedTaskAndStatsAddUp) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto acct = rt.create_dynamic<BankAccountAdt>("a");
 
   ExecutorOptions options;
@@ -75,7 +74,7 @@ TEST(TxnExecutor, RunsEverySubmittedTaskAndStatsAddUp) {
 }
 
 TEST(TxnExecutor, CompletionCallbackSeesEveryOutcome) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto acct = rt.create_dynamic<BankAccountAdt>("a");
   std::atomic<int> outcomes{0};
   std::atomic<int> committed{0};
@@ -99,7 +98,7 @@ TEST(TxnExecutor, CompletionCallbackSeesEveryOutcome) {
 }
 
 TEST(TxnExecutor, RejectsAnEmptyPool) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   EXPECT_THROW(TxnExecutor(rt, pool_of(0)), UsageError);
 }
 
@@ -107,8 +106,7 @@ TEST(TxnExecutor, RejectsAnEmptyPool) {
 // OCC: never block, validate at commit, first committer wins
 
 TEST(OccObject, InvocationsNeverBlockOnConcurrentWriters) {
-  Runtime rt(/*record_history=*/true);
-  rt.set_cc_mode(CCMode::kOcc);
+  Runtime rt(Runtime::RecorderMode::kFlight);
   auto x = rt.create_occ<BankAccountAdt>("x");
 
   auto a = rt.begin();
@@ -129,8 +127,7 @@ TEST(OccObject, InvocationsNeverBlockOnConcurrentWriters) {
 }
 
 TEST(OccObject, FirstCommitterWinsUnderWriteWriteRaces) {
-  Runtime rt(/*record_history=*/true);
-  rt.set_cc_mode(CCMode::kOcc);
+  Runtime rt(Runtime::RecorderMode::kFlight);
   auto x = rt.create_occ<BankAccountAdt>("x");
   {
     auto setup = rt.begin();
@@ -161,8 +158,7 @@ TEST(OccObject, FirstCommitterWinsUnderWriteWriteRaces) {
 }
 
 TEST(OccObject, NonConflictingCommitsBothSucceed) {
-  Runtime rt(/*record_history=*/true);
-  rt.set_cc_mode(CCMode::kOcc);
+  Runtime rt(Runtime::RecorderMode::kFlight);
   auto x = rt.create_occ<BankAccountAdt>("x");
 
   // Two blind deposits: replay-based validation accepts the loser too,
@@ -178,8 +174,7 @@ TEST(OccObject, NonConflictingCommitsBothSucceed) {
 }
 
 TEST(OccObject, HistoryIsHybridAtomic) {
-  Runtime rt(/*record_history=*/true);
-  rt.set_cc_mode(CCMode::kOcc);
+  Runtime rt(Runtime::RecorderMode::kFlight);
   auto x = rt.create_occ<BankAccountAdt>("x");
 
   auto a = rt.begin();
@@ -193,18 +188,15 @@ TEST(OccObject, HistoryIsHybridAtomic) {
   rt.commit(c);
 
   const History h = rt.history();
-  const auto wf = check_well_formed_hybrid(h, {});
-  ASSERT_TRUE(wf.ok()) << wf.summary() << "\n" << h.to_string();
-  const auto verdict = check_hybrid_atomic(rt.system(), h);
-  EXPECT_TRUE(verdict.ok) << verdict.explanation << "\n" << h.to_string();
+  const Certification verdict = certify(Protocol::kOcc, rt.system(), h);
+  EXPECT_TRUE(verdict.ok) << verdict.failure << "\n" << h.to_string();
 }
 
 // ---------------------------------------------------------------------------
 // MVCC: snapshot reads
 
 TEST(MvccObject, ReadOnlySnapshotPreventsStaleAndTornReads) {
-  Runtime rt(/*record_history=*/true);
-  rt.set_cc_mode(CCMode::kMvcc);
+  Runtime rt(Runtime::RecorderMode::kFlight);
   auto x = rt.create_mvcc<BankAccountAdt>("x");
   {
     auto setup = rt.begin();
@@ -234,15 +226,13 @@ TEST(MvccObject, ReadOnlySnapshotPreventsStaleAndTornReads) {
 
   const History h = rt.history();
   // Reader + after were the two read-only activities (ids 1 and 3).
-  const auto wf = check_well_formed_hybrid(h, {ActivityId{1}, ActivityId{3}});
-  ASSERT_TRUE(wf.ok()) << wf.summary() << "\n" << h.to_string();
-  const auto verdict = check_hybrid_atomic(rt.system(), h);
-  EXPECT_TRUE(verdict.ok) << verdict.explanation << "\n" << h.to_string();
+  const Certification verdict = certify(Protocol::kMvcc, rt.system(), h,
+                                        {ActivityId{1}, ActivityId{3}});
+  EXPECT_TRUE(verdict.ok) << verdict.failure << "\n" << h.to_string();
 }
 
 TEST(MvccObject, ReadOnlyRejectsMutators) {
-  Runtime rt(/*record_history=*/false);
-  rt.set_cc_mode(CCMode::kMvcc);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto x = rt.create_mvcc<BankAccountAdt>("x");
   auto reader = rt.begin_read_only();
   EXPECT_THROW(x->invoke(*reader, account::deposit(1)), UsageError);
@@ -250,8 +240,7 @@ TEST(MvccObject, ReadOnlyRejectsMutators) {
 }
 
 TEST(MvccObject, UpdatesStillValidateLikeOcc) {
-  Runtime rt(/*record_history=*/false);
-  rt.set_cc_mode(CCMode::kMvcc);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto x = rt.create_mvcc<BankAccountAdt>("x");
   {
     auto setup = rt.begin();
@@ -271,8 +260,7 @@ TEST(MvccObject, UpdatesStillValidateLikeOcc) {
 // Retry exhaustion
 
 TEST(TxnExecutor, RetryExhaustionGivesUpCleanly) {
-  Runtime rt(/*record_history=*/false);
-  rt.set_cc_mode(CCMode::kOcc);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto x = rt.create_occ<BankAccountAdt>("x");
 
   ExecutorOptions options;
@@ -311,8 +299,7 @@ TEST(TxnExecutor, RetryExhaustionGivesUpCleanly) {
 }
 
 TEST(TxnExecutor, CountsValidationAbortsAcrossRetries) {
-  Runtime rt(/*record_history=*/false);
-  rt.set_cc_mode(CCMode::kOcc);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto x = rt.create_occ<BankAccountAdt>("x");
   {
     auto setup = rt.begin();
@@ -348,12 +335,11 @@ TEST(TxnExecutor, CountsValidationAbortsAcrossRetries) {
 // ---------------------------------------------------------------------------
 // Telemetry gating
 
-TEST(CCModeMetrics, LockModeSeriesSuppressedUnderOccAndMvcc) {
-  for (CCMode mode : {CCMode::kOcc, CCMode::kMvcc}) {
-    Runtime rt(/*record_history=*/false);
-    rt.set_cc_mode(mode);
-    auto x = mode == CCMode::kOcc ? rt.create_occ<BankAccountAdt>("x")
-                                  : rt.create_mvcc<BankAccountAdt>("x");
+TEST(ExecutorModeMetrics, LockModeSeriesSuppressedUnderOccAndMvcc) {
+  for (Protocol mode : {Protocol::kOcc, Protocol::kMvcc}) {
+    Runtime rt(Runtime::RecorderMode::kOff);
+    auto x = mode == Protocol::kOcc ? rt.create_occ<BankAccountAdt>("x")
+                                    : rt.create_mvcc<BankAccountAdt>("x");
     TxnExecutor pool(rt, pool_of(2));
     for (int i = 0; i < 8; ++i) {
       pool.submit({"d", TxnKind::kUpdate,
@@ -378,8 +364,8 @@ TEST(CCModeMetrics, LockModeSeriesSuppressedUnderOccAndMvcc) {
   }
 }
 
-TEST(CCModeMetrics, LockModeSeriesStayLiveUnderBlockingModes) {
-  Runtime rt(/*record_history=*/false);  // default CCMode::kDynamic
+TEST(ExecutorModeMetrics, LockModeSeriesStayLiveUnderBlockingModes) {
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto x = rt.create_dynamic<BankAccountAdt>("x");
   auto t = rt.begin();
   x->invoke(*t, account::deposit(1));

@@ -1,5 +1,6 @@
 // The CC-mode executor tier (ctest -L ccmodes), part 2: the matrix.
-// Every CCMode drives the same seeded workloads through the same
+// Each of the five executor modes — the three data-dependent protocols
+// plus OCC and MVCC — drives the same seeded workloads through the same
 // TxnExecutor pool, and every run is held to the same bar:
 //
 //   * money conservation over concurrent transfers (no partial commits);
@@ -15,8 +16,7 @@
 #include <chrono>
 #include <thread>
 
-#include "check/atomicity.h"
-#include "hist/wellformed.h"
+#include "check/certify.h"
 #include "sim/scenarios.h"
 #include "spec/adts/bank_account.h"
 #include "test_util.h"
@@ -24,26 +24,17 @@
 namespace argus {
 namespace {
 
-std::string param_name(CCMode m) {
-  std::string name = to_string(m);
-  for (char& c : name) {
-    if (c == '-') c = '_';
-  }
-  return name;
-}
 
 constexpr std::int64_t kAccounts = 4;
 constexpr std::int64_t kInitialBalance = 100;
 constexpr std::int64_t kTotal = kAccounts * kInitialBalance;
 
-class CCModeMatrix : public ::testing::TestWithParam<CCMode> {};
+class ExecutorModeMatrix : public ::testing::TestWithParam<Protocol> {};
 
-TEST_P(CCModeMatrix, MoneyConservedThroughTheExecutor) {
-  const CCMode mode = GetParam();
-  Runtime rt(/*record_history=*/false);
-  rt.set_cc_mode(mode);
-  auto bank =
-      BankScenario::create(rt, to_protocol(mode), kAccounts, kInitialBalance);
+TEST_P(ExecutorModeMatrix, MoneyConservedThroughTheExecutor) {
+  const Protocol mode = GetParam();
+  Runtime rt(Runtime::RecorderMode::kOff);
+  auto bank = BankScenario::create(rt, mode, kAccounts, kInitialBalance);
   rt.set_wait_timeout_all(std::chrono::milliseconds(1000));
 
   WorkloadOptions options;
@@ -57,9 +48,8 @@ TEST_P(CCModeMatrix, MoneyConservedThroughTheExecutor) {
   EXPECT_EQ(result.gave_up, 0u);
   EXPECT_EQ(result.executor.submitted, 160u);
   EXPECT_EQ(result.executor.completed, 160u);
-  EXPECT_EQ(bank.total_balance(rt, mode_supports_snapshot_reads(mode)),
-            kTotal);
-  if (!uses_blocking_admission(mode)) {
+  EXPECT_EQ(bank.total_balance(rt, supports_snapshot_reads(mode)), kTotal);
+  if (mode == Protocol::kOcc || mode == Protocol::kMvcc) {
     // Optimistic modes never deadlock — their objects never block.
     EXPECT_EQ(result.deadlocks, 0u);
     EXPECT_EQ(result.aborts_by_reason.count(AbortReason::kDeadlock), 0u);
@@ -67,12 +57,10 @@ TEST_P(CCModeMatrix, MoneyConservedThroughTheExecutor) {
   }
 }
 
-TEST_P(CCModeMatrix, RecordedRunCertifiesAgainstTheModeProperty) {
-  const CCMode mode = GetParam();
-  Runtime rt(/*record_history=*/true);
-  rt.set_cc_mode(mode);
-  auto bank = BankScenario::create(rt, to_protocol(mode), /*n=*/3,
-                                   kInitialBalance);
+TEST_P(ExecutorModeMatrix, RecordedRunCertifiesAgainstTheModeProperty) {
+  const Protocol mode = GetParam();
+  Runtime rt(Runtime::RecorderMode::kFlight);
+  auto bank = BankScenario::create(rt, mode, /*n=*/3, kInitialBalance);
   rt.set_wait_timeout_all(std::chrono::milliseconds(1000));
   AtomicitySentinel& sentinel = rt.start_sentinel();
 
@@ -92,42 +80,20 @@ TEST_P(CCModeMatrix, RecordedRunCertifiesAgainstTheModeProperty) {
   rt.stop_sentinel();
 
   const History h = rt.history();
-  switch (mode) {
-    case CCMode::kDynamic: {
-      const auto wf = check_well_formed(h);
-      ASSERT_TRUE(wf.ok()) << wf.summary() << "\n" << h.to_string();
-      const auto verdict = check_dynamic_atomic(rt.system(), h);
-      EXPECT_TRUE(verdict.ok) << verdict.explanation << "\n" << h.to_string();
-      break;
-    }
-    case CCMode::kStatic: {
-      const auto wf = check_well_formed_static(h);
-      ASSERT_TRUE(wf.ok()) << wf.summary() << "\n" << h.to_string();
-      const auto verdict = check_static_atomic(rt.system(), h);
-      EXPECT_TRUE(verdict.ok) << verdict.explanation << "\n" << h.to_string();
-      break;
-    }
-    case CCMode::kHybrid:
-    case CCMode::kOcc:
-    case CCMode::kMvcc: {
-      const auto wf = check_well_formed_hybrid(h, {});
-      ASSERT_TRUE(wf.ok()) << wf.summary() << "\n" << h.to_string();
-      const auto verdict = check_hybrid_atomic(rt.system(), h);
-      EXPECT_TRUE(verdict.ok) << verdict.explanation << "\n" << h.to_string();
-      break;
-    }
-  }
+  const Certification verdict = certify(mode, rt.system(), h);
+  EXPECT_TRUE(verdict.ok) << verdict.failure << "\n" << h.to_string();
 }
 
-INSTANTIATE_TEST_SUITE_P(AllModes, CCModeMatrix,
-                         ::testing::ValuesIn(all_cc_modes()),
+INSTANTIATE_TEST_SUITE_P(AllModes, ExecutorModeMatrix,
+                         ::testing::Values(Protocol::kDynamic,
+                                           Protocol::kStatic, Protocol::kHybrid,
+                                           Protocol::kOcc, Protocol::kMvcc),
                          [](const auto& info) {
-                           return param_name(info.param);
+                           return to_string(info.param);
                          });
 
 TEST(MvccWorkload, ReadOnlyAuditsAreAbortFreeAndConsistent) {
-  Runtime rt(/*record_history=*/false);
-  rt.set_cc_mode(CCMode::kMvcc);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto bank = BankScenario::create(rt, Protocol::kMvcc, kAccounts,
                                    kInitialBalance);
 
@@ -165,8 +131,7 @@ TEST(OccWorkload, HighContentionStaysLiveAndConserved) {
   // optimism, since every commit invalidates every in-flight balance
   // read. The pool must stay live (retry budget never exhausted) and
   // the final state must account for every committed increment.
-  Runtime rt(/*record_history=*/false);
-  rt.set_cc_mode(CCMode::kOcc);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto x = rt.create_occ<BankAccountAdt>("hot");
 
   MixItem rmw{"rmw", TxnKind::kUpdate, 1,

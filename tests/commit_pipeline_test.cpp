@@ -41,7 +41,7 @@ std::int64_t committed_below(const std::vector<CommitLogRecord>& records,
 }
 
 TEST(CommitPipeline, ReadOnlyScannersSeeExactlyTheCommittedPrefix) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto account = rt.create_hybrid<BankAccountAdt>("a");
   rt.set_wait_timeout_all(std::chrono::milliseconds(500));
 
@@ -134,7 +134,7 @@ TEST(CommitPipeline, ConcurrentHistoryIsHybridAtomic) {
 }
 
 TEST(CommitPipeline, CrashDuringGroupCommitBatchLosesOnlyUnforcedRecords) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto account = rt.create_hybrid<BankAccountAdt>("a");
 
   // Two transactions force normally and must survive.
@@ -186,7 +186,7 @@ TEST(CommitPipeline, CrashDuringGroupCommitBatchLosesOnlyUnforcedRecords) {
 }
 
 TEST(CommitPipeline, CommitTimestampsStayMonotoneAndLogStaysSorted) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto account = rt.create_hybrid<BankAccountAdt>("a");
   auto worker = [&] {
     for (int i = 0; i < 200; ++i) {
@@ -213,7 +213,7 @@ TEST(CommitPipeline, CommitTimestampsStayMonotoneAndLogStaysSorted) {
 }
 
 TEST(CommitPipeline, PipelineStatsAreObservable) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto account = rt.create_hybrid<BankAccountAdt>("a");
   auto worker = [&] {
     for (int i = 0; i < 50; ++i) {
@@ -238,7 +238,7 @@ TEST(CommitPipeline, PipelineStatsAreObservable) {
 TEST(CommitPipeline, SingleMutexModeMatchesPipelinedSemantics) {
   for (const CommitMode mode :
        {CommitMode::kSingleMutex, CommitMode::kPipelined}) {
-    Runtime rt(/*record_history=*/false);
+    Runtime rt(Runtime::RecorderMode::kOff);
     rt.tm().set_commit_mode(mode);
     auto account = rt.create_hybrid<BankAccountAdt>("a");
     auto worker = [&] {

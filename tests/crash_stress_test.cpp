@@ -116,16 +116,13 @@ INSTANTIATE_TEST_SUITE_P(
                                          Protocol::kTwoPhase),
                        ::testing::Range<std::uint64_t>(1, 7)),
     [](const auto& info) {
-      std::string name = to_string(std::get<0>(info.param)) + "_seed" +
-                         std::to_string(std::get<1>(info.param));
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
+      return testutil::test_name(to_string(std::get<0>(info.param)) +
+                                 "_seed" +
+                                 std::to_string(std::get<1>(info.param)));
     });
 
 TEST(CrashStress, RepeatedCrashRecoverCyclesUnderLoad) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto acct = rt.create_dynamic<BankAccountAdt>("a");
   {
     auto setup = rt.begin();

@@ -16,15 +16,13 @@
 // 2PC is in flight.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <vector>
 
-#include "check/atomicity.h"
 #include "common/scope_guard.h"
 #include "dist/dist_runtime.h"
 #include "dsched/task_lane.h"
-#include "hist/wellformed.h"
+#include "sim/dist_sweep.h"
 #include "sim/sched_explore.h"
 #include "spec/adts/bank_account.h"
 
@@ -49,9 +47,7 @@ struct DistLaneCase {
   bool churn{false};
 };
 
-struct DistLaneRun {
-  std::string failure;  // every failed probe, newline-separated
-  std::string trace;    // merged cross-site trace after recovery
+struct DistLaneRun : CaseResult {  // trace: the merged cross-site trace
   std::string schedule;
   DistStats stats;
   /// The churn lane recovered site 2 while another lane's 2PC was in
@@ -64,10 +60,7 @@ struct DistLaneRun {
 // so every transfer is a 2PC and neighbouring lanes cross.
 DistLaneRun run_lanes(const DistLaneCase& c, ScheduleSource& source) {
   DistLaneRun out;
-  std::vector<std::string> failures;
-  const auto probe = [&failures](bool ok, const std::string& what) {
-    if (!ok) failures.push_back(what);
-  };
+  Probes probes;
 
   source.begin_run();
   DschedOptions sched_options;
@@ -132,16 +125,16 @@ DistLaneRun run_lanes(const DistLaneCase& c, ScheduleSource& source) {
       dist.fail(2);
       transfer("x0", "r", 1);
       out.deferred_catchup = dist.in_flight_2pcs() > 0;
-      probe(dist.recover(2), "churn: site 2 refused to recover");
+      probes.check(dist.recover(2), "churn: site 2 refused to recover");
       transfer("x1", "x0", 1);
     });
   }
   sched.await_lanes(static_cast<std::size_t>(c.lanes + (c.churn ? 1 : 0)));
   sched.run();
   out.schedule = sched.schedule_string();
-  probe(!sched.overflowed(), "scheduler: run exceeded max_steps");
+  probes.check(!sched.overflowed(), "scheduler: run exceeded max_steps");
   for (const std::string& e : sched.lane_errors()) {
-    failures.push_back("lane error: " + e);
+    probes.fail("lane error: " + e);
   }
 
   // Recovery runs fault-free, after the lanes (the scheduler is released:
@@ -150,12 +143,12 @@ DistLaneRun run_lanes(const DistLaneCase& c, ScheduleSource& source) {
     dist.site(s).runtime().set_fault_injector(nullptr);
   }
   if (!dist.coordinator_up()) {
-    probe(dist.recover_coordinator(), "recover: coordinator refused");
+    probes.check(dist.recover_coordinator(), "recover: coordinator refused");
   }
   dist.run_termination_protocol();
   for (std::size_t s = 0; s < dist.site_count(); ++s) {
     if (!dist.site(s).up()) {
-      probe(dist.recover(s), "recover: site " + std::to_string(s));
+      probes.check(dist.recover(s), "recover: site " + std::to_string(s));
     }
   }
   dist.run_termination_protocol();
@@ -163,36 +156,18 @@ DistLaneRun run_lanes(const DistLaneCase& c, ScheduleSource& source) {
   out.stats = dist.stats();
 
   // (1) Hybrid atomicity of the merged history.
-  const History h = dist.merged_history();
-  const auto wf = check_well_formed_hybrid(h, dist.read_only_activities());
-  probe(wf.ok(), "well-formed(hybrid): " + wf.summary());
-  const auto verdict = check_hybrid_atomic(dist.merged_system(), h);
-  probe(verdict.ok, "hybrid atomic: " + verdict.explanation);
+  probes.check(certify(Protocol::kHybrid, dist.merged_system(),
+                       dist.merged_history(), dist.read_only_activities()));
   // (2) Money conservation, and every copy of r agrees.
-  std::map<std::string, std::vector<std::int64_t>> copies;
-  for (const auto& entry : dist.dump(account::balance())) {
-    copies[entry.var].push_back(entry.value.as_int());
-  }
-  std::int64_t total = 0;
-  for (const auto& [var, values] : copies) {
-    total += values.front();
-    for (const std::int64_t v : values) {
-      probe(v == values.front(), "replica agreement: " + var);
-    }
-  }
-  probe(copies.size() == names.size() &&
-            total == static_cast<std::int64_t>(names.size()) * kBalance,
-        "conservation: " + std::to_string(copies.size()) +
-            " accounts hold " + std::to_string(total));
+  probe_dist_bank(dist, names.size(), kBalance, probes);
   // (3) Every decision acknowledged and truncated.
-  probe(dist.decision_log().outstanding() == 0,
-        "decision log: " + std::to_string(dist.decision_log().outstanding()) +
-            " outstanding after the termination protocol");
+  const std::size_t outstanding = dist.decision_log().outstanding();
+  probes.check(outstanding == 0, "decision log: " +
+                                     std::to_string(outstanding) +
+                                     " outstanding after the termination "
+                                     "protocol");
 
-  for (std::size_t i = 0; i < failures.size(); ++i) {
-    if (i > 0) out.failure += "\n";
-    out.failure += failures[i];
-  }
+  probes.settle(out);
   return out;
 }
 

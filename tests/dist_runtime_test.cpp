@@ -15,11 +15,10 @@
 #include <thread>
 #include <vector>
 
-#include "check/atomicity.h"
+#include "check/certify.h"
 #include "common/rng.h"
 #include "dist/dist_runtime.h"
 #include "hist/parse.h"
-#include "hist/wellformed.h"
 #include "obs/metrics_registry.h"
 #include "spec/adts/bank_account.h"
 
@@ -52,18 +51,10 @@ std::int64_t read_balance(DistRuntime& dist, const std::string& var) {
 }
 
 void certify_merged(DistRuntime& dist) {
-  const History h = dist.merged_history();
-  if (dist.protocol() == Protocol::kDynamic) {
-    const auto wf = check_well_formed(h);
-    EXPECT_TRUE(wf.ok()) << wf.summary();
-    const auto verdict = check_dynamic_atomic(dist.merged_system(), h);
-    EXPECT_TRUE(verdict.ok) << verdict.explanation;
-  } else {
-    const auto wf = check_well_formed_hybrid(h, dist.read_only_activities());
-    EXPECT_TRUE(wf.ok()) << wf.summary();
-    const auto verdict = check_hybrid_atomic(dist.merged_system(), h);
-    EXPECT_TRUE(verdict.ok) << verdict.explanation;
-  }
+  const Certification verdict =
+      certify(dist.protocol(), dist.merged_system(), dist.merged_history(),
+              dist.read_only_activities());
+  EXPECT_TRUE(verdict.ok) << verdict.failure;
 }
 
 TEST(DistRuntime, TwoPhaseCommitHappyPath) {

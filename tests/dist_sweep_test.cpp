@@ -7,14 +7,11 @@
 //   * ARGUS_DIST_ARTIFACT_DIR=<dir>: on failure, every failing
 //     configuration is budget-minimized and written there as a
 //     replayable config file (uploaded by CI as the dist-corpus
-//     artifact; replay with examples/dist_replay).
+//     artifact; replay with examples/case_replay dist <file>).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 
 #include "sim/dist_sweep.h"
@@ -24,22 +21,13 @@ namespace {
 
 void write_failure_artifacts(const DistSweepSummary& summary) {
   const char* dir = std::getenv("ARGUS_DIST_ARTIFACT_DIR");
-  if (dir == nullptr || *dir == '\0' || summary.failures.empty()) return;
-  std::filesystem::create_directories(dir);
+  if (dir == nullptr || *dir == '\0') return;
   int index = 0;
   for (const DistSweepFailure& f : summary.failures) {
-    const DistSweepCase minimized = minimize_dist_budget(
+    const DistSweepCase minimized = minimize_fault_budget(
         f.config,
-        [](const DistSweepCase& probe) { return !run_dist_case(probe).ok; });
-    const auto path = std::filesystem::path(dir) /
-                      ("minimized_" + std::to_string(index++) + ".txt");
-    std::ofstream out(path);
-    out << "# auto-minimized failing dist config (replay: dist_replay)\n"
-        << "# failure:\n";
-    std::istringstream why(f.failure);
-    std::string line;
-    while (std::getline(why, line)) out << "#   " << line << "\n";
-    out << to_dist_config_string(minimized);
+        [](const DistSweepCase& probe) { return !run_case(probe).ok; });
+    write_case_artifact(dir, index++, f.failure, to_config_string(minimized));
   }
 }
 
@@ -77,7 +65,7 @@ TEST(DistSweepConfig, RoundTripsThroughConfigString) {
 
   DistSweepCase back;
   std::string error;
-  ASSERT_TRUE(parse_dist_case(to_dist_config_string(c), &back, &error))
+  ASSERT_TRUE(parse_case(to_config_string(c), &back, &error))
       << error;
   EXPECT_EQ(back, c);
 }
@@ -85,16 +73,16 @@ TEST(DistSweepConfig, RoundTripsThroughConfigString) {
 TEST(DistSweepConfig, RejectsMalformedInput) {
   DistSweepCase c;
   std::string error;
-  EXPECT_FALSE(parse_dist_case("no_such_key 1\n", &c, &error));
+  EXPECT_FALSE(parse_case("no_such_key 1\n", &c, &error));
   EXPECT_NE(error.find("unknown key"), std::string::npos);
-  EXPECT_FALSE(parse_dist_case("sites banana\n", &c, &error));
+  EXPECT_FALSE(parse_case("sites banana\n", &c, &error));
   EXPECT_NE(error.find("not a number"), std::string::npos);
-  EXPECT_FALSE(parse_dist_case("sites 0\n", &c, &error));
-  EXPECT_FALSE(parse_dist_case("protocol occ\n", &c, &error))
+  EXPECT_FALSE(parse_case("sites 0\n", &c, &error));
+  EXPECT_FALSE(parse_case("protocol occ\n", &c, &error))
       << "2PC needs a protocol that can hold a decision open";
-  EXPECT_FALSE(parse_dist_case("sharded 0\nreplicated 0\n", &c, &error));
+  EXPECT_FALSE(parse_case("sharded 0\nreplicated 0\n", &c, &error));
   // Comments and blank lines are fine.
-  EXPECT_TRUE(parse_dist_case("# comment\n\n  seed 5\n", &c, &error)) << error;
+  EXPECT_TRUE(parse_case("# comment\n\n  seed 5\n", &c, &error)) << error;
   EXPECT_EQ(c.plan.seed, 5u);
 }
 
@@ -130,7 +118,7 @@ TEST(DistSweep, EveryConfigurationCertifiesClean) {
   EXPECT_EQ(summary.cases, 320u);
   std::string report;
   for (const auto& f : summary.failures) {
-    report += "---- failing config ----\n" + to_dist_config_string(f.config) +
+    report += "---- failing config ----\n" + to_config_string(f.config) +
               f.failure + "\n";
   }
   EXPECT_TRUE(summary.all_ok()) << report;
@@ -151,61 +139,53 @@ TEST(DistSweep, EveryConfigurationCertifiesClean) {
   EXPECT_GT(summary.termination_promotions, 0u);
 }
 
-TEST(DistSweep, CoordinatorCrashCaseReplaysByteForByte) {
-  // A pinned mid-delivery coordinator crash with lossy messaging: the
-  // 2PC decision lands at some participants, the rest fence and resolve
-  // through the termination protocol once the coordinator returns.
-  DistSweepCase c;
-  c.protocol = Protocol::kHybrid;
-  c.sites = 3;
-  c.plan.seed = 777001;
-  c.plan.coord_crash_point = FaultSite::kCoordMidDelivery;
-  c.plan.coord_crash_at_arrival = 1;
-  c.plan.coord_recover_permille = 400;
-  c.plan.msg_loss_permille = 150;
-  c.plan.msg_retries = 2;
-  c.plan.spurious_timeout_permille = 120;
-
-  const DistCaseResult first = run_dist_case(c);
-  EXPECT_TRUE(first.ok) << first.failure;
-  ASSERT_FALSE(first.trace.empty());
-  EXPECT_GT(first.coord_crashes, 0u);
-
-  const DistCaseResult second = run_dist_case(c);
-  EXPECT_EQ(first.trace, second.trace)
-      << "same seed must reproduce the merged cross-site trace byte for byte";
-  EXPECT_EQ(first.committed, second.committed);
-  EXPECT_EQ(first.coord_crashes, second.coord_crashes);
-  EXPECT_EQ(first.msgs_lost, second.msgs_lost);
-  EXPECT_EQ(first.faults_injected, second.faults_injected);
-}
-
 TEST(DistSweep, ReplayingASeedReproducesTheMergedTraceByteForByte) {
   // The chaos mix on a three-site deployment — churn, log faults and a
   // pinned mid-apply crash all at once.
-  DistSweepCase c;
-  c.protocol = Protocol::kHybrid;
-  c.sites = 3;
-  c.plan.seed = 20260808;
-  c.plan.site_fail_permille = 60;
-  c.plan.site_recover_permille = 300;
-  c.plan.force_fail_permille = 100;
-  c.plan.force_max_retries = 2;
-  c.plan.force_retry_backoff_us = 10;
-  c.plan.torn_batch_permille = 120;
-  c.plan.crash_point = FaultSite::kMidApply;
-  c.plan.crash_at_arrival = 2;
+  DistSweepCase chaos;
+  chaos.protocol = Protocol::kHybrid;
+  chaos.sites = 3;
+  chaos.plan.seed = 20260808;
+  chaos.plan.site_fail_permille = 60;
+  chaos.plan.site_recover_permille = 300;
+  chaos.plan.force_fail_permille = 100;
+  chaos.plan.force_max_retries = 2;
+  chaos.plan.force_retry_backoff_us = 10;
+  chaos.plan.torn_batch_permille = 120;
+  chaos.plan.crash_point = FaultSite::kMidApply;
+  chaos.plan.crash_at_arrival = 2;
+  // A pinned mid-delivery coordinator crash with lossy messaging: the
+  // 2PC decision lands at some participants, the rest fence and resolve
+  // through the termination protocol once the coordinator returns.
+  DistSweepCase coord;
+  coord.protocol = Protocol::kHybrid;
+  coord.sites = 3;
+  coord.plan.seed = 777001;
+  coord.plan.coord_crash_point = FaultSite::kCoordMidDelivery;
+  coord.plan.coord_crash_at_arrival = 1;
+  coord.plan.coord_recover_permille = 400;
+  coord.plan.msg_loss_permille = 150;
+  coord.plan.msg_retries = 2;
+  coord.plan.spurious_timeout_permille = 120;
 
-  const DistCaseResult first = run_dist_case(c);
-  EXPECT_TRUE(first.ok) << first.failure;
-  ASSERT_FALSE(first.trace.empty());
+  for (const DistSweepCase& c : {chaos, coord}) {
+    const DistCaseResult first = run_case(c);
+    EXPECT_TRUE(first.ok) << first.failure;
+    ASSERT_FALSE(first.trace.empty());
+    if (c.plan.coord_crash_at_arrival > 0) {
+      EXPECT_GT(first.stats.coord_crashes, 0u);
+    }
 
-  const DistCaseResult second = run_dist_case(c);
-  EXPECT_EQ(first.trace, second.trace)
-      << "same seed must reproduce the merged cross-site trace byte for byte";
-  EXPECT_EQ(first.committed, second.committed);
-  EXPECT_EQ(first.site_fails, second.site_fails);
-  EXPECT_EQ(first.faults_injected, second.faults_injected);
+    const DistCaseResult second = run_case(c);
+    EXPECT_EQ(first.trace, second.trace)
+        << "same seed must reproduce the merged cross-site trace byte for "
+           "byte";
+    EXPECT_EQ(first.committed, second.committed);
+    EXPECT_EQ(first.stats.site_fails, second.stats.site_fails);
+    EXPECT_EQ(first.stats.coord_crashes, second.stats.coord_crashes);
+    EXPECT_EQ(first.stats.msgs_lost, second.stats.msgs_lost);
+    EXPECT_EQ(first.faults_injected, second.faults_injected);
+  }
 }
 
 TEST(DistSweep, MinimizeShrinksTheFaultBudget) {
@@ -221,13 +201,13 @@ TEST(DistSweep, MinimizeShrinksTheFaultBudget) {
   c.plan.force_fail_permille = 150;
   c.plan.force_max_retries = 1;
   c.plan.force_retry_backoff_us = 1;
-  const DistCaseResult full = run_dist_case(c);
+  const DistCaseResult full = run_case(c);
   ASSERT_GE(full.faults_injected, 3u)
       << "seed must inject enough faults for the predicate to bite";
 
-  const DistSweepCase minimized = minimize_dist_budget(
+  const DistSweepCase minimized = minimize_fault_budget(
       c, [](const DistSweepCase& probe) {
-        return run_dist_case(probe).faults_injected >= 3;
+        return run_case(probe).faults_injected >= 3;
       });
   EXPECT_EQ(minimized.plan.max_faults, 3u);
 }

@@ -222,21 +222,21 @@ TEST(SchedCase, ConfigStringRoundTrips) {
 
   SchedCase back;
   std::string error;
-  ASSERT_TRUE(parse_sched_case(to_config_string(c), &back, &error)) << error;
+  ASSERT_TRUE(parse_case(to_config_string(c), &back, &error)) << error;
   EXPECT_EQ(back, c);
 }
 
 TEST(SchedCase, ParseRejectsGarbage) {
   SchedCase out;
   std::string error;
-  EXPECT_FALSE(parse_sched_case("kind sideways\n", &out, &error));
-  EXPECT_FALSE(parse_sched_case("adt heap\n", &out, &error));
-  EXPECT_FALSE(parse_sched_case("lanes 0\n", &out, &error));
-  EXPECT_FALSE(parse_sched_case("schedule s9:01\n", &out, &error));
-  EXPECT_FALSE(parse_sched_case("seed 1 2\n", &out, &error));
-  EXPECT_FALSE(parse_sched_case("no_such_key 1\n", &out, &error));
+  EXPECT_FALSE(parse_case("kind sideways\n", &out, &error));
+  EXPECT_FALSE(parse_case("adt heap\n", &out, &error));
+  EXPECT_FALSE(parse_case("lanes 0\n", &out, &error));
+  EXPECT_FALSE(parse_case("schedule s9:01\n", &out, &error));
+  EXPECT_FALSE(parse_case("seed 1 2\n", &out, &error));
+  EXPECT_FALSE(parse_case("no_such_key 1\n", &out, &error));
   // Comments and blank lines are fine.
-  EXPECT_TRUE(parse_sched_case("# note\n\nseed 9\n", &out, &error)) << error;
+  EXPECT_TRUE(parse_case("# note\n\nseed 9\n", &out, &error)) << error;
   EXPECT_EQ(out.seed, 9u);
 }
 
@@ -244,12 +244,12 @@ TEST(SchedExplore, SameSeedReplaysByteForByte) {
   SchedCase c;
   c.kind = ScheduleKind::kRandom;
   c.seed = 42;
-  const SchedCaseResult first = run_sched_case(c);
+  const SchedCaseResult first = run_case(c);
   EXPECT_TRUE(first.ok) << first.failure;
   ASSERT_FALSE(first.trace.empty());
   ASSERT_FALSE(first.schedule.empty());
 
-  const SchedCaseResult second = run_sched_case(c);
+  const SchedCaseResult second = run_case(c);
   EXPECT_EQ(first.trace, second.trace)
       << "same (seed, schedule source) must reproduce the flight-recorder "
          "trace byte for byte";
@@ -260,57 +260,29 @@ TEST(SchedExplore, SameSeedReplaysByteForByte) {
 }
 
 TEST(SchedExplore, RecordedScheduleReplaysByteForByte) {
-  SchedCase c;
-  c.kind = ScheduleKind::kRandom;
-  c.seed = 43;
-  const SchedCaseResult recorded = run_sched_case(c);
-  ASSERT_TRUE(recorded.ok) << recorded.failure;
+  // Under every admission style — including the optimistic paths, where
+  // serial validation takes the commit turn before the log force and the
+  // executor-queue handoff routes through the WaitPolicy — replaying the
+  // recorded schedule string must pin the interleaving.
+  for (const auto& [protocol, seed] :
+       {std::pair{Protocol::kDynamic, 43}, std::pair{Protocol::kOcc, 44},
+        std::pair{Protocol::kMvcc, 45}}) {
+    SchedCase c;
+    c.kind = ScheduleKind::kRandom;
+    c.seed = static_cast<std::uint64_t>(seed);
+    c.protocol = protocol;
+    const SchedCaseResult recorded = run_case(c);
+    ASSERT_TRUE(recorded.ok) << to_string(protocol) << ": " << recorded.failure;
+    ASSERT_FALSE(recorded.schedule.empty());
 
-  SchedCase replay = c;
-  replay.kind = ScheduleKind::kReplay;
-  replay.schedule = recorded.schedule;
-  const SchedCaseResult replayed = run_sched_case(replay);
-  EXPECT_TRUE(replayed.ok) << replayed.failure;
-  EXPECT_EQ(replayed.trace, recorded.trace)
-      << "replaying the recorded schedule string must pin the interleaving";
-  EXPECT_EQ(replayed.schedule, recorded.schedule);
-}
-
-TEST(SchedExplore, OccReplaysByteForByte) {
-  // The optimistic path under the cooperative scheduler: serial
-  // validation takes the commit turn before the log force, and the
-  // executor-queue handoff routes through the WaitPolicy — the whole run
-  // must still replay from its recorded schedule.
-  SchedCase c;
-  c.kind = ScheduleKind::kRandom;
-  c.seed = 44;
-  c.protocol = Protocol::kOcc;
-  const SchedCaseResult recorded = run_sched_case(c);
-  EXPECT_TRUE(recorded.ok) << recorded.failure;
-  ASSERT_FALSE(recorded.schedule.empty());
-
-  SchedCase replay = c;
-  replay.kind = ScheduleKind::kReplay;
-  replay.schedule = recorded.schedule;
-  const SchedCaseResult replayed = run_sched_case(replay);
-  EXPECT_TRUE(replayed.ok) << replayed.failure;
-  EXPECT_EQ(replayed.trace, recorded.trace);
-}
-
-TEST(SchedExplore, MvccReplaysByteForByte) {
-  SchedCase c;
-  c.kind = ScheduleKind::kRandom;
-  c.seed = 45;
-  c.protocol = Protocol::kMvcc;
-  const SchedCaseResult recorded = run_sched_case(c);
-  EXPECT_TRUE(recorded.ok) << recorded.failure;
-
-  SchedCase replay = c;
-  replay.kind = ScheduleKind::kReplay;
-  replay.schedule = recorded.schedule;
-  const SchedCaseResult replayed = run_sched_case(replay);
-  EXPECT_TRUE(replayed.ok) << replayed.failure;
-  EXPECT_EQ(replayed.trace, recorded.trace);
+    SchedCase replay = c;
+    replay.kind = ScheduleKind::kReplay;
+    replay.schedule = recorded.schedule;
+    const SchedCaseResult replayed = run_case(replay);
+    EXPECT_TRUE(replayed.ok) << to_string(protocol) << ": " << replayed.failure;
+    EXPECT_EQ(replayed.trace, recorded.trace) << to_string(protocol);
+    EXPECT_EQ(replayed.schedule, recorded.schedule);
+  }
 }
 
 TEST(DfsExplore, OccExhaustsTheTwoTxnOneObjectCase) {
@@ -337,8 +309,8 @@ TEST(SchedExplore, PctIsDeterministicToo) {
   c.kind = ScheduleKind::kPct;
   c.seed = 7;
   c.pct_change_points = 3;
-  const SchedCaseResult first = run_sched_case(c);
-  const SchedCaseResult second = run_sched_case(c);
+  const SchedCaseResult first = run_case(c);
+  const SchedCaseResult second = run_case(c);
   EXPECT_TRUE(first.ok) << first.failure;
   EXPECT_EQ(first.trace, second.trace);
   EXPECT_EQ(first.schedule, second.schedule);
@@ -353,8 +325,8 @@ TEST(SchedExplore, FaultsAndScheduleShareOneSeed) {
   c.fault.force_fail_permille = 200;
   c.fault.force_max_retries = 2;
   c.fault.torn_batch_permille = 200;
-  const SchedCaseResult first = run_sched_case(c);
-  const SchedCaseResult second = run_sched_case(c);
+  const SchedCaseResult first = run_case(c);
+  const SchedCaseResult second = run_case(c);
   EXPECT_TRUE(first.ok) << first.failure;
   EXPECT_EQ(first.trace, second.trace);
   EXPECT_EQ(first.faults_injected, second.faults_injected);
@@ -429,7 +401,7 @@ TEST(SchedExplore, WeakenedAdmissionIsCaughtAndMinimized) {
   // reproduces it — the contract a corpus entry is promoted under.
   const SchedExploreFailure& f = summary.failures.front();
   EXPECT_EQ(f.minimized.kind, ScheduleKind::kReplay);
-  const SchedCaseResult again = run_sched_case(f.minimized);
+  const SchedCaseResult again = run_case(f.minimized);
   EXPECT_FALSE(again.ok)
       << "minimized schedule no longer reproduces the violation";
   // Minimization never grows the schedule.

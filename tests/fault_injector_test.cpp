@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "fault/fault.h"
+#include "sim/case.h"
 
 namespace argus {
 namespace {
@@ -173,11 +174,13 @@ TEST(FaultInjector, TraceLinesAreParseHComments) {
 TEST(FaultSite, NamesRoundTrip) {
   for (std::size_t i = 0; i < kFaultSiteCount; ++i) {
     const auto site = static_cast<FaultSite>(i);
-    const auto back = fault_site_from_string(to_string(site));
+    const auto back =
+        enum_from_string<FaultSite>(to_string(site), kFaultSiteCount);
     ASSERT_TRUE(back.has_value()) << to_string(site);
     EXPECT_EQ(*back, site);
   }
-  EXPECT_FALSE(fault_site_from_string("no-such-site").has_value());
+  EXPECT_FALSE(
+      enum_from_string<FaultSite>("no-such-site", kFaultSiteCount).has_value());
 }
 
 }  // namespace

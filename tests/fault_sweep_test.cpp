@@ -35,24 +35,26 @@ TEST(FaultSweepConfig, RoundTripsThroughConfigString) {
 
   FaultSweepCase back;
   std::string error;
-  ASSERT_TRUE(parse_fault_case(to_config_string(c), &back, &error)) << error;
+  ASSERT_TRUE(parse_case(to_config_string(c), &back, &error)) << error;
   EXPECT_EQ(back, c);
 }
 
 TEST(FaultSweepConfig, RejectsMalformedInput) {
   FaultSweepCase c;
   std::string error;
-  EXPECT_FALSE(parse_fault_case("no_such_key 1\n", &c, &error));
+  EXPECT_FALSE(parse_case("no_such_key 1\n", &c, &error));
   EXPECT_NE(error.find("unknown key"), std::string::npos);
-  EXPECT_FALSE(parse_fault_case("seed banana\n", &c, &error));
+  EXPECT_FALSE(parse_case("seed banana\n", &c, &error));
   EXPECT_NE(error.find("not a number"), std::string::npos);
-  EXPECT_FALSE(parse_fault_case("protocol vaporware\n", &c, &error));
+  EXPECT_FALSE(parse_case("protocol vaporware\n", &c, &error));
   EXPECT_NE(error.find("unknown protocol"), std::string::npos);
-  EXPECT_FALSE(parse_fault_case("crash_point nowhere\n", &c, &error));
+  EXPECT_FALSE(parse_case("crash_point nowhere\n", &c, &error));
   EXPECT_NE(error.find("unknown crash point"), std::string::npos);
-  EXPECT_FALSE(parse_fault_case("seed 1 2\n", &c, &error));
+  EXPECT_FALSE(parse_case("seed 1 2\n", &c, &error));
+  EXPECT_FALSE(parse_case("accounts -1\n", &c, &error));
+  EXPECT_NE(error.find("out of range"), std::string::npos);
   // Comments and blank lines are fine.
-  EXPECT_TRUE(parse_fault_case("# comment\n\n  seed 5\n", &c, &error))
+  EXPECT_TRUE(parse_case("# comment\n\n  seed 5\n", &c, &error))
       << error;
   EXPECT_EQ(c.plan.seed, 5u);
 }
@@ -106,46 +108,36 @@ TEST(FaultSweep, OccAndMvccComeThroughTheSweepClean) {
   EXPECT_GT(summary.committed, 0u);
 }
 
-TEST(FaultSweep, OccReplayIsByteForByteToo) {
-  FaultSweepCase c;
-  c.protocol = Protocol::kOcc;
-  c.plan.seed = 7654321;
-  c.plan.force_fail_permille = 120;
-  c.plan.force_max_retries = 2;
-  c.plan.force_retry_backoff_us = 10;
-  c.plan.torn_batch_permille = 150;
-  c.plan.crash_point = FaultSite::kMidApply;
-  c.plan.crash_at_arrival = 1;
-
-  const FaultCaseResult first = run_fault_case(c);
-  const FaultCaseResult second = run_fault_case(c);
-  EXPECT_TRUE(first.ok) << first.failure;
-  EXPECT_EQ(first.trace, second.trace);
-  EXPECT_EQ(first.committed, second.committed);
-}
-
 TEST(FaultSweep, ReplayingASeedReproducesTheTraceByteForByte) {
-  // The chaos mix with a mid-apply pinned crash — the nastiest cell.
-  FaultSweepCase c;
-  c.protocol = Protocol::kDynamic;
-  c.plan.seed = 1234567;
-  c.plan.force_fail_permille = 120;
-  c.plan.force_max_retries = 2;
-  c.plan.force_retry_backoff_us = 10;
-  c.plan.torn_batch_permille = 150;
-  c.plan.leader_latency_permille = 100;
-  c.plan.leader_latency_us = 50;
-  c.plan.crash_point = FaultSite::kMidApply;
-  c.plan.crash_at_arrival = 1;
+  // The chaos mix with a mid-apply pinned crash — the nastiest cell —
+  // under dynamic admission, and its log faults under OCC.
+  FaultSweepCase chaos;
+  chaos.protocol = Protocol::kDynamic;
+  chaos.plan.seed = 1234567;
+  chaos.plan.force_fail_permille = 120;
+  chaos.plan.force_max_retries = 2;
+  chaos.plan.force_retry_backoff_us = 10;
+  chaos.plan.torn_batch_permille = 150;
+  chaos.plan.leader_latency_permille = 100;
+  chaos.plan.leader_latency_us = 50;
+  chaos.plan.crash_point = FaultSite::kMidApply;
+  chaos.plan.crash_at_arrival = 1;
+  FaultSweepCase occ = chaos;
+  occ.protocol = Protocol::kOcc;
+  occ.plan.seed = 7654321;
+  occ.plan.leader_latency_permille = 0;
+  occ.plan.leader_latency_us = FaultPlan{}.leader_latency_us;
 
-  const FaultCaseResult first = run_fault_case(c);
-  const FaultCaseResult second = run_fault_case(c);
-  EXPECT_TRUE(first.ok) << first.failure;
-  ASSERT_FALSE(first.trace.empty());
-  EXPECT_EQ(first.trace, second.trace);
-  EXPECT_EQ(first.faults_injected, second.faults_injected);
-  EXPECT_EQ(first.committed, second.committed);
-  EXPECT_EQ(first.log_records, second.log_records);
+  for (const FaultSweepCase& c : {chaos, occ}) {
+    const FaultCaseResult first = run_case(c);
+    const FaultCaseResult second = run_case(c);
+    EXPECT_TRUE(first.ok) << to_string(c.protocol) << ": " << first.failure;
+    ASSERT_FALSE(first.trace.empty());
+    EXPECT_EQ(first.trace, second.trace) << to_string(c.protocol);
+    EXPECT_EQ(first.faults_injected, second.faults_injected);
+    EXPECT_EQ(first.committed, second.committed);
+    EXPECT_EQ(first.log_records, second.log_records);
+  }
 }
 
 TEST(FaultSweep, MinimizeFindsTheSmallestReproducingBudget) {
@@ -158,10 +150,10 @@ TEST(FaultSweep, MinimizeFindsTheSmallestReproducingBudget) {
   c.plan.force_max_retries = 1;
   c.plan.force_retry_backoff_us = 1;
 
-  const auto full = run_fault_case(c);
+  const auto full = run_case(c);
   ASSERT_GE(full.faults_injected, 3u) << "pick a hotter seed";
   const auto still_fails = [](const FaultSweepCase& probe) {
-    return run_fault_case(probe).faults_injected >= 3;
+    return run_case(probe).faults_injected >= 3;
   };
   const FaultSweepCase minimized = minimize_fault_budget(c, still_fails);
   EXPECT_EQ(minimized.plan.max_faults, 3u);

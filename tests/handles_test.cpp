@@ -133,9 +133,7 @@ TEST(Handles, BagNondeterministicRemove) {
 
 TEST(Handles, WorkAcrossProtocols) {
   // The same application code runs against any protocol's objects.
-  for (Protocol p : {Protocol::kDynamic, Protocol::kStatic, Protocol::kHybrid,
-                     Protocol::kTwoPhase, Protocol::kCommutativity,
-                     Protocol::kTimestamp}) {
+  for (Protocol p : kAllProtocols) {
     Runtime rt;
     AtomicAccount acct(make_object<BankAccountAdt>(rt, p, "a"));
     TransactionScope tx(rt);

@@ -16,14 +16,6 @@
 namespace argus {
 namespace {
 
-std::string param_name(Protocol p) {
-  std::string name = to_string(p);
-  for (char& c : name) {
-    if (c == '-') c = '_';
-  }
-  return name;
-}
-
 constexpr std::int64_t kAccounts = 4;
 constexpr std::int64_t kInitialBalance = 100;
 constexpr std::int64_t kTotal = kAccounts * kInitialBalance;
@@ -31,7 +23,7 @@ constexpr std::int64_t kTotal = kAccounts * kInitialBalance;
 class TransferWorkload : public ::testing::TestWithParam<Protocol> {};
 
 TEST_P(TransferWorkload, MoneyConserved) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto bank = BankScenario::create(rt, GetParam(), kAccounts, kInitialBalance);
 
   WorkloadOptions options;
@@ -49,7 +41,7 @@ TEST_P(TransferWorkload, MoneyConserved) {
 
 TEST_P(TransferWorkload, AuditsSeeConsistentTotals) {
   const Protocol protocol = GetParam();
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto bank = BankScenario::create(rt, protocol, kAccounts, kInitialBalance);
 
   std::atomic<std::uint64_t> inconsistent_audits{0};
@@ -94,13 +86,13 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, TransferWorkload,
                                            Protocol::kCommutativity,
                                            Protocol::kTimestamp),
                          [](const auto& info) {
-                           return param_name(info.param);
+                           return testutil::test_name(to_string(info.param));
                          });
 
 class QueueWorkload : public ::testing::TestWithParam<Protocol> {};
 
 TEST_P(QueueWorkload, ItemsConserved) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto scenario = QueueScenario::create(rt, GetParam());
 
   // Pre-fill generously so consumers never block on an empty queue after
@@ -144,11 +136,11 @@ INSTANTIATE_TEST_SUITE_P(LockingProtocols, QueueWorkload,
                                            Protocol::kTwoPhase,
                                            Protocol::kCommutativity),
                          [](const auto& info) {
-                           return param_name(info.param);
+                           return testutil::test_name(to_string(info.param));
                          });
 
 TEST(QueueWorkloadHybrid, ExactConservation) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto scenario = QueueScenario::create(rt, Protocol::kHybrid);
 
   // Deterministic single-producer multi-consumer run with exact
@@ -198,13 +190,13 @@ TEST(QueueWorkloadHybrid, ExactConservation) {
 }
 
 TEST(WorkloadDriver, EmptyMixRejected) {
-  Runtime rt(false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   WorkloadDriver driver(rt, WorkloadOptions{});
   EXPECT_THROW((void)driver.run({}), UsageError);
 }
 
 TEST(WorkloadDriver, MetricsPopulated) {
-  Runtime rt(false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto bank = BankScenario::create(rt, Protocol::kDynamic, 2, 50);
   WorkloadOptions options;
   options.threads = 2;

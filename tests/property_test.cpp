@@ -7,9 +7,8 @@
 
 #include <thread>
 
-#include "check/atomicity.h"
+#include "check/certify.h"
 #include "check/random_history.h"
-#include "hist/wellformed.h"
 #include "sched/factory.h"
 #include "sim/scenarios.h"
 #include "spec/adts/bank_account.h"
@@ -46,7 +45,7 @@ template <AdtTraits A>
 RunResult run_property_workload(Protocol protocol, const std::string& adt,
                                 std::uint64_t seed,
                                 bool with_faults = false) {
-  Runtime rt(/*record_history=*/true);
+  Runtime rt(Runtime::RecorderMode::kFlight);
   auto obj = make_object<A>(rt, protocol, "x");
   if (auto base = std::dynamic_pointer_cast<ObjectBase>(obj)) {
     base->set_wait_timeout(std::chrono::milliseconds(1000));
@@ -117,37 +116,15 @@ void check_protocol_property(Protocol protocol, const std::string& adt,
       run_property_workload<A>(protocol, adt, seed, with_faults);
   const History& h = run.history;
 
-  switch (protocol) {
-    case Protocol::kDynamic:
-    case Protocol::kTwoPhase:
-    case Protocol::kCommutativity: {
-      const auto wf = check_well_formed(h);
-      ASSERT_TRUE(wf.ok()) << wf.summary() << "\n" << h.to_string();
-      const auto verdict = check_dynamic_atomic(run.system, h);
-      EXPECT_TRUE(verdict.ok) << verdict.explanation << "\n" << h.to_string();
-      break;
-    }
-    case Protocol::kStatic:
-    case Protocol::kTimestamp: {
-      const auto wf = check_well_formed_static(h);
-      ASSERT_TRUE(wf.ok()) << wf.summary() << "\n" << h.to_string();
-      const auto verdict = check_static_atomic(run.system, h);
-      EXPECT_TRUE(verdict.ok) << verdict.explanation << "\n" << h.to_string();
-      break;
-    }
-    case Protocol::kHybrid:
-    case Protocol::kOcc:
-    case Protocol::kMvcc: {
-      // OCC/MVCC updates serialize at commit timestamps (validation runs
-      // at the pipeline turn) and MVCC reads at initiation snapshots —
-      // exactly the hybrid atomicity property.
-      const auto wf = check_well_formed_hybrid(h, run.read_only);
-      ASSERT_TRUE(wf.ok()) << wf.summary() << "\n" << h.to_string();
-      const auto verdict = check_hybrid_atomic(run.system, h);
-      EXPECT_TRUE(verdict.ok) << verdict.explanation << "\n" << h.to_string();
-      break;
-    }
-  }
+  const Certification verdict =
+      certify(protocol, run.system, h, run.read_only);
+  EXPECT_TRUE(verdict.ok) << verdict.failure << "\n" << h.to_string();
+}
+
+std::string param_name(
+    const ::testing::TestParamInfo<std::tuple<Protocol, std::uint64_t>>& info) {
+  return testutil::test_name(to_string(std::get<0>(info.param)) + "_seed" +
+                             std::to_string(std::get<1>(info.param)));
 }
 
 class ProtocolProperty
@@ -170,21 +147,9 @@ TEST_P(ProtocolProperty, KVStoreHistoriesSatisfyLocalProperty) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ProtocolProperty,
-    ::testing::Combine(::testing::Values(Protocol::kDynamic, Protocol::kStatic,
-                                         Protocol::kHybrid,
-                                         Protocol::kTwoPhase,
-                                         Protocol::kCommutativity,
-                                         Protocol::kTimestamp, Protocol::kOcc,
-                                         Protocol::kMvcc),
+    ::testing::Combine(::testing::ValuesIn(kAllProtocols),
                        ::testing::Range<std::uint64_t>(1, 9)),
-    [](const auto& info) {
-      std::string name = to_string(std::get<0>(info.param)) + "_seed" +
-                         std::to_string(std::get<1>(info.param));
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+    param_name);
 
 // The same property sweep under injected stable-log faults: force
 // failures and torn tails shrink the committed set but must leave every
@@ -206,28 +171,16 @@ TEST_P(ProtocolPropertyUnderFaults, BankAccountHistoriesStillSatisfyProperty) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ProtocolPropertyUnderFaults,
-    ::testing::Combine(::testing::Values(Protocol::kDynamic, Protocol::kStatic,
-                                         Protocol::kHybrid,
-                                         Protocol::kTwoPhase,
-                                         Protocol::kCommutativity,
-                                         Protocol::kTimestamp, Protocol::kOcc,
-                                         Protocol::kMvcc),
+    ::testing::Combine(::testing::ValuesIn(kAllProtocols),
                        ::testing::Range<std::uint64_t>(1, 5)),
-    [](const auto& info) {
-      std::string name = to_string(std::get<0>(info.param)) + "_seed" +
-                         std::to_string(std::get<1>(info.param));
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+    param_name);
 
 // Hybrid queue histories, separately (type-specific object).
 class HybridQueueProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(HybridQueueProperty, HistoriesAreHybridAtomic) {
   const std::uint64_t seed = GetParam();
-  Runtime rt(/*record_history=*/true);
+  Runtime rt(Runtime::RecorderMode::kFlight);
   auto q = rt.create_hybrid_queue("q");
   q->set_wait_timeout(std::chrono::milliseconds(500));
 
@@ -277,10 +230,9 @@ TEST_P(HybridQueueProperty, HistoriesAreHybridAtomic) {
   for (auto& t : threads) t.join();
 
   const History h = rt.history();
-  const auto wf = check_well_formed_hybrid(h, read_only);
-  ASSERT_TRUE(wf.ok()) << wf.summary() << "\n" << h.to_string();
-  const auto verdict = check_hybrid_atomic(rt.system(), h);
-  EXPECT_TRUE(verdict.ok) << verdict.explanation << "\n" << h.to_string();
+  const Certification verdict =
+      certify(Protocol::kHybrid, rt.system(), h, read_only);
+  EXPECT_TRUE(verdict.ok) << verdict.failure << "\n" << h.to_string();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HybridQueueProperty,
@@ -293,7 +245,7 @@ class RecoveryProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RecoveryProperty, RecoveredStateMatchesCommittedLog) {
   const std::uint64_t seed = GetParam();
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto acct = rt.create_dynamic<BankAccountAdt>("a");
 
   SplitMix64 rng(seed);

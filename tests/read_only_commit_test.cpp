@@ -41,7 +41,7 @@ struct PipelineSnapshot {
 };
 
 TEST(ReadOnlyCommit, SnapshotReadersSkipThePipeline) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto account = rt.create_hybrid<BankAccountAdt>("account");
   auto bag = rt.create_hybrid_bag("bag");
   auto queue = rt.create_hybrid_queue("queue");
@@ -79,7 +79,7 @@ TEST(ReadOnlyCommit, SnapshotReadersSkipThePipeline) {
 }
 
 TEST(ReadOnlyCommit, ReadOnlyWithoutObjectsSkipsThePipeline) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   const PipelineSnapshot before(rt);
   auto audit = rt.begin_read_only();
   rt.commit(audit);
@@ -88,7 +88,7 @@ TEST(ReadOnlyCommit, ReadOnlyWithoutObjectsSkipsThePipeline) {
 }
 
 TEST(ReadOnlyCommit, AuditCommitsWhileAnUpdateForceIsHeld) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto a = rt.create_hybrid<BankAccountAdt>("a");
   auto b = rt.create_hybrid<BankAccountAdt>("b");
   {
@@ -138,7 +138,7 @@ TEST(ReadOnlyCommit, AuditCommitsWhileAnUpdateForceIsHeld) {
 }
 
 TEST(ReadOnlyCommit, ReadersThatNeedThePipelineKeepIt) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto hybrid = rt.create_hybrid<BankAccountAdt>("hybrid");
   std::vector<std::shared_ptr<ManagedObject>> pipelined = {
       rt.create_dynamic<BankAccountAdt>("dynamic"),
@@ -164,7 +164,7 @@ TEST(ReadOnlyCommit, ReadersThatNeedThePipelineKeepIt) {
 }
 
 TEST(ReadOnlyCommit, StableLogHoldsExactlyTheCommittedUpdates) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   constexpr int kAccounts = 8;
   constexpr std::int64_t kInitial = 100;
   std::vector<std::shared_ptr<HybridAtomicObject<BankAccountAdt>>> accounts;

@@ -41,7 +41,7 @@ TEST(Runtime, SystemSpecMirrorsObjects) {
 }
 
 TEST(Runtime, RecordingDisabledYieldsEmptyHistory) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   EXPECT_EQ(rt.recorder(), nullptr);
   EXPECT_FALSE(rt.recording());
   EXPECT_EQ(rt.recorder_mode(), Runtime::RecorderMode::kOff);
@@ -62,16 +62,6 @@ TEST(Runtime, RecorderModesSelectSink) {
   EXPECT_NE(flight.recorder(), nullptr);
   EXPECT_NE(flight.flight_recorder(), nullptr);
   EXPECT_EQ(flight.recorder(), flight.flight_recorder());
-
-  Runtime legacy(Runtime::RecorderMode::kLegacyMutex);
-  EXPECT_TRUE(legacy.recording());
-  EXPECT_NE(legacy.recorder(), nullptr);
-  EXPECT_EQ(legacy.flight_recorder(), nullptr);
-  auto set = legacy.create_dynamic<IntSetAdt>("s");
-  auto t = legacy.begin();
-  set->invoke(*t, intset::insert(1));
-  legacy.commit(t);
-  EXPECT_EQ(legacy.history().size(), 3u);
 }
 
 TEST(Runtime, MetricsExposeTxnAndObjectCounters) {

@@ -3,19 +3,18 @@
 // deterministic scheduler, and certify each explored interleaving with
 // the formal checkers plus the live sentinel.
 //
-//   * Default: 512 configurations (2 sources x 4 families x 4 mixes x 16
-//     seeds), all of which must certify with zero atomicity violations.
+//   * Default: exactly 768 configurations (2 sources x 6 families x 4
+//     mixes x 16 seeds), all of which must certify with zero atomicity
+//     violations.
 //   * ARGUS_DSCHED_DEEP=<n> scales seeds_per_cell to n (the nightly /
 //     workflow-input CI mode).
 //   * ARGUS_DSCHED_ARTIFACT_DIR=<dir>: on failure, every auto-minimized
 //     failing configuration is written there as a replayable config file
-//     (uploaded by CI as the minimized-schedule artifact).
+//     (uploaded by CI as the minimized-schedule artifact; replay with
+//     examples/case_replay sched <file>).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "sim/sched_explore.h"
@@ -32,19 +31,10 @@ std::uint64_t deep_seeds_or(std::uint64_t fallback) {
 
 void write_failure_artifacts(const SchedExploreSummary& summary) {
   const char* dir = std::getenv("ARGUS_DSCHED_ARTIFACT_DIR");
-  if (dir == nullptr || *dir == '\0' || summary.failures.empty()) return;
-  std::filesystem::create_directories(dir);
+  if (dir == nullptr || *dir == '\0') return;
   int index = 0;
   for (const SchedExploreFailure& f : summary.failures) {
-    const auto path = std::filesystem::path(dir) /
-                      ("minimized_" + std::to_string(index++) + ".txt");
-    std::ofstream out(path);
-    out << "# auto-minimized failing schedule (replay: sched_corpus_test)\n"
-        << "# failure:\n";
-    std::istringstream why(f.failure);
-    std::string line;
-    while (std::getline(why, line)) out << "#   " << line << "\n";
-    out << to_config_string(f.minimized);
+    write_case_artifact(dir, index++, f.failure, to_config_string(f.minimized));
   }
 }
 
@@ -52,8 +42,9 @@ TEST(SchedExplore, EveryEnumeratedConfigurationCertifies) {
   SchedExploreOptions options;
   options.seeds_per_cell = deep_seeds_or(16);
   const auto cases = enumerate_sched_cases(options);
-  ASSERT_GE(cases.size(), 500u)
-      << "the explorer must cover at least 500 {schedule x fault} cells";
+  // 2 schedule kinds x 6 object families x 4 fault mixes per seed: 768
+  // cases at the default depth.
+  ASSERT_EQ(cases.size(), 48 * options.seeds_per_cell);
 
   const SchedExploreSummary summary = run_sched_explore(options);
   write_failure_artifacts(summary);

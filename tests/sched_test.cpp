@@ -226,9 +226,7 @@ TEST(Factory, ProtocolNames) {
 TEST(Factory, AllProtocolsConstructible) {
   Runtime rt;
   int i = 0;
-  for (Protocol p :
-       {Protocol::kDynamic, Protocol::kStatic, Protocol::kHybrid,
-        Protocol::kTwoPhase, Protocol::kCommutativity, Protocol::kTimestamp}) {
+  for (Protocol p : kAllProtocols) {
     auto obj = make_object<IntSetAdt>(rt, p, "s" + std::to_string(i++));
     ASSERT_NE(obj, nullptr);
     auto t = rt.begin();

@@ -147,7 +147,7 @@ TEST(Sentinel, CheckpointingPathStaysCleanUnderBoundedMemory) {
 }
 
 TEST(Sentinel, RequiresFlightMode) {
-  Runtime rt(false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   EXPECT_THROW(rt.start_sentinel(), UsageError);
 }
 

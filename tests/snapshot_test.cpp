@@ -172,7 +172,7 @@ void check_object(Runtime& rt, ManagedObject& object,
 }
 
 TEST(SnapshotObjects, HybridAccountMatchesStableLogPrefix) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto account = rt.create_hybrid<BankAccountAdt>("account");
   check_object<BankAccountAdt>(
       rt, *account,
@@ -184,7 +184,7 @@ TEST(SnapshotObjects, HybridAccountMatchesStableLogPrefix) {
 }
 
 TEST(SnapshotObjects, HybridBagMatchesStableLogPrefix) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto bag = rt.create_hybrid_bag("bag");
   check_object<BagAdt>(
       rt, *bag,
@@ -197,7 +197,7 @@ TEST(SnapshotObjects, HybridBagMatchesStableLogPrefix) {
 }
 
 TEST(SnapshotObjects, HybridQueueMatchesStableLogPrefix) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto queue = rt.create_hybrid_queue("queue");
   check_object<FifoQueueAdt>(
       rt, *queue,
@@ -210,7 +210,7 @@ TEST(SnapshotObjects, HybridQueueMatchesStableLogPrefix) {
 }
 
 TEST(SnapshotObjects, MvccMatchesStableLogPrefix) {
-  Runtime rt(/*record_history=*/false);
+  Runtime rt(Runtime::RecorderMode::kOff);
   auto store = rt.create_mvcc<KVStoreAdt>("store");
   check_object<KVStoreAdt>(
       rt, *store,

@@ -3,9 +3,11 @@
 // threads with step synchronization.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,6 +27,13 @@ inline constexpr ActivityId T{19};
 // Objects x, y.
 inline constexpr ObjectId X{0};
 inline constexpr ObjectId Y{1};
+
+/// A gtest-safe parameter name: `name` with every '-' made '_' (protocol
+/// names like "comm-lock" are not valid test-name characters).
+inline std::string test_name(std::string name) {
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
 
 /// Builds a history from an initializer list of events.
 inline History hist(std::vector<Event> events) {

@@ -21,7 +21,8 @@
 //
 // Any disagreement is minimized by greedy activity removal and written
 // to $ARGUS_VC_ARTIFACT_DIR (when set) for offline replay, in the
-// parse.h notation.
+// parse.h notation (add an `# expect:` line and it is a tests/corpus/vc
+// case: examples/case_replay vc <file>).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,6 +40,7 @@
 #include "check/random_history.h"
 #include "check/vc_atomicity.h"
 #include "common/rng.h"
+#include "sim/vc_case.h"
 
 namespace argus {
 namespace {
@@ -140,50 +142,12 @@ bool swap_stamps(std::vector<Event>& events) {
   return false;
 }
 
-History drop_activity(const History& h, ActivityId a) {
-  std::vector<Event> kept;
-  kept.reserve(h.events().size());
-  for (const Event& e : h.events()) {
-    if (e.activity != a) kept.push_back(e);
-  }
-  return History(std::move(kept));
-}
-
-/// Greedy activity-removal minimization: shrink while the disagreement
-/// predicate still holds.
-History minimize_disagreement(
-    const History& h, const std::function<bool(const History&)>& disagrees) {
-  History current = h;
-  bool shrunk = true;
-  while (shrunk) {
-    shrunk = false;
-    for (ActivityId a : current.activities()) {
-      History candidate = drop_activity(current, a);
-      if (disagrees(candidate)) {
-        current = std::move(candidate);
-        shrunk = true;
-        break;
-      }
-    }
-  }
-  return current;
-}
-
-std::string describe_system(const SystemSpec& sys) {
-  std::ostringstream out;
-  for (ObjectId x : sys.objects()) {
-    out << "# object " << to_string(x) << " " << sys.spec_of(x).type_name()
-        << "\n";
-  }
-  return out.str();
-}
-
 /// Writes a minimized disagreement to $ARGUS_VC_ARTIFACT_DIR (if set) and
 /// returns a failure message either way.
 std::string report_disagreement(
     const std::string& label, const SystemSpec& sys, const History& h,
     const std::function<bool(const History&)>& disagrees) {
-  const History minimized = minimize_disagreement(h, disagrees);
+  const History minimized = minimize_history(h, disagrees);
   std::ostringstream msg;
   msg << label << "\nminimized history:\n"
       << describe_system(sys) << minimized.to_string();
