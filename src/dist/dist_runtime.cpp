@@ -241,7 +241,11 @@ void DistRuntime::abort_parts(DistTxn& t, AbortReason reason) {
     // site must sequence after every invoke the activity made anywhere,
     // or the merged history shows an operation after the abort.
     if (s.up()) observe_into(t, s);
-    if (part.prepared) {
+    if (part.staged) {
+      // Staged but never forced: no record to drop, only the proposal to
+      // retire — a plain abort wherever the site is.
+      s.tm().abort_prepared(part.txn, reason);
+    } else if (part.prepared) {
       const bool healthy =
           s.up() && part.txn->active() && !part.txn->doomed();
       if (healthy) {
@@ -272,6 +276,16 @@ void DistRuntime::count_abort(AbortReason reason) {
   if (reason == AbortReason::kUnavailable) {
     unavailable_aborts_.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+void DistRuntime::observe_us(const std::atomic<Histogram*>& histogram,
+                             std::chrono::steady_clock::time_point start) {
+  Histogram* h = histogram.load(std::memory_order_acquire);
+  if (h == nullptr) return;
+  h->observe(static_cast<double>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
 }
 
 void DistRuntime::bump_global_stamp(std::uint64_t v) {
@@ -398,17 +412,22 @@ void DistRuntime::commit_two_phase(DistTxn& t) {
     coordinator_died(t, std::nullopt);  // throws
   }
 
-  // Phase 1: prepare at every participant, in ascending site order. Each
-  // prepare validates locally, registers a proposed commit timestamp in
-  // the site clock's in-flight table, and forces a prepared record.
-  // tick_site_faults() between protocol steps puts mid-commit site
-  // failures inside the sweep's search space.
+  // Phase 1: stage every participant in ascending site order, then force
+  // all their prepared records in one storage round. Staging validates
+  // locally, registers a proposed commit timestamp in the site clock's
+  // in-flight table and builds the record; the round costs the slowest
+  // participant's force, not the sum. tick_site_faults() between protocol
+  // steps puts mid-commit site failures inside the sweep's search space.
+  const auto can_prepare = [this](std::size_t idx, const DistTxn::Part& p) {
+    return sites_[idx]->up() && p.txn->active() && !p.txn->doomed();
+  };
   Timestamp decision = kNoTimestamp;
   std::optional<AbortReason> veto;
+  std::vector<StableLog::PreparedForce> round;
   for (auto& [idx, part] : t.parts_) {
     tick_site_faults();
     Site& s = *sites_[idx];
-    if (!s.up() || !part.txn->active() || part.txn->doomed()) {
+    if (!can_prepare(idx, part)) {
       veto = AbortReason::kUnavailable;
       break;
     }
@@ -419,16 +438,46 @@ void DistRuntime::commit_two_phase(DistTxn& t) {
       veto = AbortReason::kUnavailable;
       break;
     }
-    const std::optional<Timestamp> proposal = s.tm().prepare_2pc(part.txn);
-    if (!proposal.has_value()) {
-      // The local transaction is already aborted (validation veto, log
-      // force failure, or a pinned crash downed the site mid-prepare).
+    std::optional<CommitLogRecord> record = s.tm().stage_prepare(part.txn);
+    if (!record.has_value()) {
+      // The local transaction is already aborted (validation veto, or a
+      // pinned crash downed the site mid-prepare).
       veto = s.up() ? AbortReason::kValidation : AbortReason::kUnavailable;
       break;
     }
-    part.prepared = true;
-    part.proposal = *proposal;
-    decision = std::max(decision, *proposal);
+    part.staged = true;
+    part.proposal = record->commit_ts;
+    decision = std::max(decision, part.proposal);
+    round.push_back({&s.tm().log(), std::move(*record)});
+  }
+  if (!veto.has_value()) {
+    // A later step's tick may have failed a site staged earlier: issue the
+    // round only if every participant can still prepare. Otherwise
+    // nothing is forced anywhere and the veto is clean.
+    for (const auto& [idx, part] : t.parts_) {
+      if (!can_prepare(idx, part)) {
+        veto = AbortReason::kUnavailable;
+        break;
+      }
+    }
+  }
+  if (!veto.has_value()) {
+    const auto round_start = std::chrono::steady_clock::now();
+    const std::vector<AppendResult> forced =
+        StableLog::force_prepared(std::move(round));
+    observe_us(prepare_round_us_, round_start);
+    // Complete in site order; a failed force vetoes, and the participants
+    // whose records did stabilize are prepared (abort_parts drops them).
+    std::size_t i = 0;
+    for (auto& [idx, part] : t.parts_) {
+      part.staged = false;
+      if (sites_[idx]->tm().complete_prepare(part.txn, forced[i++])) {
+        part.prepared = true;
+      } else if (!veto.has_value()) {
+        veto = sites_[idx]->up() ? AbortReason::kValidation
+                                 : AbortReason::kUnavailable;
+      }
+    }
   }
 
   if (veto.has_value()) {
@@ -457,8 +506,14 @@ void DistRuntime::commit_two_phase(DistTxn& t) {
   tick_site_faults();
   coord_yield();
   if (!epoch_current(*epoch)) coordinator_died(t, std::nullopt);  // throws
-  if (options_.durable_decisions &&
-      !decision_log_.force_decision(t.gid_, decision, t.participants())) {
+  bool decision_forced = true;
+  if (options_.durable_decisions) {
+    const auto force_start = std::chrono::steady_clock::now();
+    decision_forced =
+        decision_log_.force_decision(t.gid_, decision, t.participants());
+    observe_us(decision_force_us_, force_start);
+  }
+  if (!decision_forced) {
     // The decision force failed: nothing stable names the gid, so the
     // only safe outcome is a global abort — the coordinator must never
     // deliver a commit it could not remember.
@@ -1387,6 +1442,15 @@ void DistRuntime::register_metrics(MetricsRegistry& registry) {
        "Stable decisions awaiting full acknowledgement", "gauge"},
   };
   for (const auto& m : kMetrics) registry.describe(m.name, m.help, m.type);
+  prepare_round_us_.store(
+      &registry.histogram("argus_dist_prepare_round_us",
+                          "2PC phase 1: one round forcing every "
+                          "participant's prepared record (microseconds)"),
+      std::memory_order_release);
+  decision_force_us_.store(
+      &registry.histogram("argus_dist_decision_force_us",
+                          "2PC decision-log force (microseconds)"),
+      std::memory_order_release);
   registry.add_collector([this] {
     const DistStats s = stats();
     std::vector<MetricSample> out;

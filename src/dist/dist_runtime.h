@@ -28,18 +28,22 @@
 //     failed cannot commit (its participant there was doomed by the
 //     crash); commit() detects this and aborts globally.
 //
-//   * Two-phase commit. A multi-site update commits via prepare_2pc at
-//     every participant (validate + force a prepared record under a
-//     *proposed* local timestamp held in the clock's in-flight table),
-//     then the decision timestamp G = max(proposals) — globally unique,
-//     and consistent with every local proposal — is delivered via
-//     commit_prepared (re-stamp, promote, apply behind the local
-//     watermark). Decisions are *force-written to the DecisionLog*
-//     before delivery (presumed abort for everything else), so a
-//     participant that fails between prepare and delivery resolves its
-//     in-doubt record at recovery: promote+replay if the gid is logged,
-//     drop if not. Single-participant transactions take the ordinary
-//     one-phase pipeline, which is what keeps disjoint per-site
+//   * Two-phase commit. A multi-site update stages every participant in
+//     ascending site order (TransactionManager::stage_prepare: validate,
+//     hold a *proposed* local timestamp in the clock's in-flight table,
+//     build the prepared record), then forces all the prepared records in
+//     one storage round (StableLog::force_prepared) — phase 1 costs the
+//     slowest participant's force, not the sum of them. A participant
+//     that failed between its staging and the round vetoes before
+//     anything is forced. Then the decision timestamp G =
+//     max(proposals) — globally unique, and consistent with every local
+//     proposal — is delivered via commit_prepared (re-stamp, promote,
+//     apply behind the local watermark). Decisions are *force-written
+//     to the DecisionLog* before delivery (presumed abort for everything
+//     else), so a participant that fails between prepare and delivery
+//     resolves its in-doubt record at recovery: promote+replay if the gid
+//     is logged, drop if not. Single-participant transactions take the
+//     ordinary one-phase pipeline, which is what keeps disjoint per-site
 //     workloads scaling (bench_distributed). 2PCs from different client
 //     threads run concurrently: no lock is held across a force, and the
 //     coordinator tracks every open protocol run in one per-gid
@@ -100,6 +104,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -122,6 +127,7 @@
 
 namespace argus {
 
+class Histogram;
 class MetricsRegistry;
 class WaitPolicy;
 
@@ -129,7 +135,7 @@ struct DistOptions {
   std::size_t sites{2};
   /// Local atomicity property of every object. Dynamic (§4.1) and hybrid
   /// (§4.3) are supported; validate-at-commit protocols (OCC/MVCC)
-  /// cannot participate in 2PC (see TransactionManager::prepare_2pc).
+  /// cannot participate in 2PC (see TransactionManager::stage_prepare).
   Protocol protocol{Protocol::kHybrid};
   Runtime::RecorderMode recorder{Runtime::RecorderMode::kFlight};
   /// Site i allocates ObjectIds from [i*stride, (i+1)*stride).
@@ -211,6 +217,8 @@ class DistTxn {
 
   struct Part {
     std::shared_ptr<Transaction> txn;
+    /// Phase 1 staged: the proposal is held, the record not yet forced.
+    bool staged{false};
     bool prepared{false};
     bool delivered{false};  // phase 2 reached this site (commit applied)
     Timestamp proposal{kNoTimestamp};
@@ -413,7 +421,10 @@ class DistRuntime {
 
   /// Exposes every DistStats field (plus the decision-log backlog) as
   /// argus_dist_* counters/gauges through a registry collector, scraped
-  /// on demand like the per-runtime metrics.
+  /// on demand like the per-runtime metrics, and registers two 2PC
+  /// latency histograms observed from then on: argus_dist_prepare_round_us
+  /// (phase 1's force round) and argus_dist_decision_force_us (the
+  /// decision-log force). The registry must outlive the DistRuntime.
   void register_metrics(MetricsRegistry& registry);
 
  private:
@@ -533,6 +544,10 @@ class DistRuntime {
 
   void bump_global_stamp(std::uint64_t v);
   void count_abort(AbortReason reason);
+  /// Observes the microseconds since `start` into `*histogram`, if
+  /// register_metrics() installed one.
+  static void observe_us(const std::atomic<Histogram*>& histogram,
+                         std::chrono::steady_clock::time_point start);
 
   DistOptions options_;
   std::vector<std::unique_ptr<Site>> sites_;
@@ -607,6 +622,8 @@ class DistRuntime {
   std::atomic<std::uint64_t> termination_presumed_aborts_{0};
   std::atomic<std::uint64_t> termination_retries_{0};
   std::atomic<std::uint64_t> termination_blocked_{0};
+  std::atomic<Histogram*> prepare_round_us_{nullptr};
+  std::atomic<Histogram*> decision_force_us_{nullptr};
 };
 
 }  // namespace argus

@@ -15,12 +15,14 @@
 // failing-case artifact writer, and the bisection both minimizers run.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <system_error>
 #include <type_traits>
 #include <vector>
 
@@ -63,17 +65,24 @@ using CaseFieldParser =
                                     const CaseFieldParser& field,
                                     std::string* error);
 
-/// Parses an unsigned decimal into *out ("" on success); a value that
-/// does not fit T (a negative count wraps to a huge one) is an error.
+/// Parses an unsigned decimal — plain digits, nothing else: no sign, no
+/// whitespace, no suffix — into *out ("" on success). A negative count
+/// or one that does not fit T is "out of range", anything else that is
+/// not all digits "not a number".
 template <typename T>
 [[nodiscard]] std::string parse_count(const std::string& value, T* out) {
+  // from_chars takes no whitespace or '+'; a '-' in front makes a
+  // number, but never a count.
+  const bool negative = value.size() > 1 && value[0] == '-';
+  const char* last = value.data() + value.size();
   std::uint64_t n = 0;
-  try {
-    n = std::stoull(value);
-  } catch (const std::exception&) {
+  const auto [end, ec] =
+      std::from_chars(value.data() + (negative ? 1 : 0), last, n);
+  if (ec == std::errc::invalid_argument || end != last) {
     return "not a number: " + value;
   }
-  if (n > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+  if (negative || ec == std::errc::result_out_of_range ||
+      n > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
     return "out of range: " + value;
   }
   *out = static_cast<T>(n);
@@ -88,6 +97,25 @@ template <typename T>
   if (why.empty() && *out == 0) why = key + " must be > 0";
   return why;
 }
+
+/// parse_positive for a field that sizes the run — lanes (threads),
+/// sites or objects — and must also be at most `max`, so a corpus or
+/// artifact file cannot ask for thousands of them.
+template <typename T>
+[[nodiscard]] std::string parse_bounded(const std::string& key,
+                                        const std::string& value, T max,
+                                        T* out) {
+  std::string why = parse_positive(key, value, out);
+  if (why.empty() && *out > max) {
+    why = key + " must be <= " + std::to_string(max) + ": " + value;
+  }
+  return why;
+}
+
+/// Upper bounds for the fields parse_bounded guards.
+inline constexpr int kMaxCaseLanes = 16;
+inline constexpr int kMaxCaseSites = 16;
+inline constexpr int kMaxCaseObjects = 64;
 
 /// Looks `name` up among the to_string forms of the enum's first `count`
 /// values (Protocol, FaultSite and ScheduleKind are all dense from 0).

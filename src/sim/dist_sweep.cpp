@@ -35,7 +35,9 @@ bool parse_case(const std::string& text, DistSweepCase* out,
       }
       return why;
     }
-    if (key == "sites") return parse_positive(key, value, &c.sites);
+    if (key == "sites") {
+      return parse_bounded(key, value, kMaxCaseSites, &c.sites);
+    }
     if (key == "sharded") return parse_count(value, &c.sharded);
     if (key == "replicated") return parse_count(value, &c.replicated);
     if (key == "transactions") return parse_count(value, &c.transactions);

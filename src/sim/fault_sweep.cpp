@@ -28,7 +28,9 @@ bool parse_case(const std::string& text, FaultSweepCase* out,
     if (key == "protocol") {
       return parse_name(key, value, kAllProtocols.size(), &c.protocol);
     }
-    if (key == "accounts") return parse_positive(key, value, &c.accounts);
+    if (key == "accounts") {
+      return parse_bounded(key, value, kMaxCaseObjects, &c.accounts);
+    }
     if (key == "transactions") return parse_count(value, &c.transactions);
     if (key == "initial_balance") {
       return parse_count(value, &c.initial_balance);

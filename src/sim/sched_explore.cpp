@@ -288,8 +288,12 @@ bool parse_case(const std::string& text, SchedCase* out, std::string* error) {
       c.adt = value;
       return "";
     }
-    if (key == "objects") return parse_positive(key, value, &c.objects);
-    if (key == "lanes") return parse_positive(key, value, &c.lanes);
+    if (key == "objects") {
+      return parse_bounded(key, value, kMaxCaseObjects, &c.objects);
+    }
+    if (key == "lanes") {
+      return parse_bounded(key, value, kMaxCaseLanes, &c.lanes);
+    }
     if (key == "txns_per_lane") return parse_count(value, &c.txns_per_lane);
     if (key == "initial_balance") {
       return parse_count(value, &c.initial_balance);

@@ -95,7 +95,7 @@ std::shared_ptr<Transaction> TransactionManager::begin_as(
   return t;
 }
 
-std::optional<Timestamp> TransactionManager::prepare_2pc(
+std::optional<CommitLogRecord> TransactionManager::stage_prepare(
     const std::shared_ptr<Transaction>& t) {
   if (t->state() != TxnState::kActive) return std::nullopt;
   if (t->doomed()) {
@@ -108,7 +108,7 @@ std::optional<Timestamp> TransactionManager::prepare_2pc(
       // Validate-at-commit needs the apply turn held across validation,
       // which a participant cannot do while the decision is pending.
       throw UsageError(
-          "prepare_2pc: validate-at-commit protocols (OCC/MVCC) are not "
+          "stage_prepare: validate-at-commit protocols (OCC/MVCC) are not "
           "supported as 2PC participants");
     }
   }
@@ -130,14 +130,15 @@ std::optional<Timestamp> TransactionManager::prepare_2pc(
     return std::nullopt;
   }
   t->set_commit_ts(ts);
-  const AppendResult forced =
-      log_.force_prepared(build_record(*t, objects, ts));
-  if (forced != AppendResult::kForced) {
-    clock_.finish_commit(ts);
-    finish_abort(t, AbortReason::kIoError);
-    return std::nullopt;
-  }
-  return ts;
+  return build_record(*t, objects, ts);
+}
+
+bool TransactionManager::complete_prepare(
+    const std::shared_ptr<Transaction>& t, AppendResult forced) {
+  if (forced == AppendResult::kForced) return true;
+  clock_.finish_commit(t->commit_ts());
+  finish_abort(t, AbortReason::kIoError);
+  return false;
 }
 
 void TransactionManager::commit_prepared(const std::shared_ptr<Transaction>& t,

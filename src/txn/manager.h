@@ -129,28 +129,45 @@ class TransactionManager {
   // The multi-site coordinator (dist/DistRuntime) drives one local
   // transaction per participating site through:
   //
-  //   prepare_2pc      — validate at every touched object, register a
+  //   stage_prepare    — validate at every touched object, register a
   //                      *proposed* commit timestamp in the clock's
-  //                      in-flight table, and force a prepared record
-  //                      (write-ahead). Returns the proposal, or nullopt
-  //                      on a veto (the local transaction is then already
-  //                      aborted — the coordinator must abort globally).
+  //                      in-flight table, and build the prepared record.
+  //                      Returns the record, or nullopt on a veto (the
+  //                      local transaction is then already aborted — the
+  //                      coordinator must abort globally).
+  //   (force)          — the coordinator forces every participant's
+  //                      record in one round, StableLog::force_prepared.
+  //   complete_prepare — hands the force's outcome back: kForced leaves
+  //                      the participant prepared (write-ahead: the record
+  //                      is stable before any decision); a failed force
+  //                      retires the proposal and aborts (a veto).
   //   commit_prepared  — the decision arrived: re-stamp the in-flight
   //                      entry to the coordinator's global timestamp
   //                      (max of all proposals), promote the prepared
   //                      record, and apply behind this site's watermark
   //                      exactly like a local commit.
   //   abort_prepared   — the decision was abort: discard the prepared
-  //                      record and unwind.
+  //                      record, if one was forced, and unwind. Also how
+  //                      a participant staged but never forced (the round
+  //                      was not issued) retires its proposal.
   //   detach_prepared  — the site crashed while prepared: retire the
   //                      volatile state but leave the prepared record in
   //                      the (stable) log for recovery-time resolution.
 
-  /// Phase 1. On success the transaction stays active, holding an
-  /// in-flight clock entry at the returned proposed timestamp and a
-  /// prepared log record; the caller must follow with exactly one of
-  /// commit_prepared / abort_prepared / detach_prepared.
-  std::optional<Timestamp> prepare_2pc(const std::shared_ptr<Transaction>& t);
+  /// Phase 1, staging. On success the transaction stays active, holding
+  /// an in-flight clock entry at the proposed timestamp (the returned
+  /// record's commit_ts); the caller forces the record and follows with
+  /// complete_prepare, or retires the proposal with abort_prepared.
+  std::optional<CommitLogRecord> stage_prepare(
+      const std::shared_ptr<Transaction>& t);
+
+  /// Phase 1, completion, with the outcome of the staged record's force.
+  /// True = prepared: the caller must follow with exactly one of
+  /// commit_prepared / abort_prepared / detach_prepared. False = the force
+  /// failed; the proposal is retired and the transaction aborted
+  /// (kIoError).
+  bool complete_prepare(const std::shared_ptr<Transaction>& t,
+                        AppendResult forced);
 
   /// Phase 2, commit. `global_ts` is the coordinator's decision
   /// timestamp (>= the local proposal; equal for single-participant

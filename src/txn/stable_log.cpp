@@ -174,40 +174,52 @@ AppendResult StableLog::append_group(CommitLogRecord record) {
   }
 }
 
-AppendResult StableLog::force_prepared(CommitLogRecord record) {
-  WaitPolicy* policy = policy_.load(std::memory_order_acquire);
-  FaultInjector* fault = fault_.load(std::memory_order_acquire);
-  std::chrono::microseconds base_delay;
-  {
-    const std::scoped_lock lock(mu_);
-    base_delay = force_delay_;
-  }
-  std::uint32_t attempts = 0;
-  for (;;) {
-    FaultInjector::ForceDecision decision;
-    if (fault != nullptr) decision = fault->on_force(1);
-    const auto delay =
-        base_delay + std::chrono::microseconds(decision.latency_us);
-    sleep_for_us(policy, delay.count());
-    if (decision.fail) {
-      {
-        const std::scoped_lock lock(mu_);
-        ++stats_.force_failures;
-      }
-      if (attempts >= decision.max_retries) return AppendResult::kIoError;
-      ++attempts;
-      const auto backoff =
-          std::chrono::microseconds(decision.retry_backoff_us) * attempts;
-      sleep_for_us(policy, backoff.count());
-      continue;
+std::vector<AppendResult> StableLog::force_prepared(
+    std::vector<PreparedForce> round) {
+  // Decide every log's attempts up front, in round order — the same
+  // decisions a lone force would draw, one log after another — and total
+  // each log's simulated latency. Only the sleep is shared.
+  std::vector<AppendResult> results(round.size(), AppendResult::kForced);
+  std::vector<std::uint64_t> failures(round.size(), 0);
+  WaitPolicy* policy = nullptr;
+  std::int64_t longest_us = 0;
+  for (std::size_t i = 0; i < round.size(); ++i) {
+    StableLog& log = *round[i].log;
+    if (policy == nullptr) policy = log.policy_.load(std::memory_order_acquire);
+    FaultInjector* fault = log.fault_.load(std::memory_order_acquire);
+    std::int64_t base_us = 0;
+    {
+      const std::scoped_lock lock(log.mu_);
+      base_us = log.force_delay_.count();
     }
-    break;
+    std::int64_t total_us = 0;
+    for (std::uint32_t attempts = 0;;) {
+      FaultInjector::ForceDecision decision;
+      if (fault != nullptr) decision = fault->on_force(1);
+      total_us += base_us + decision.latency_us;
+      if (!decision.fail) break;
+      ++failures[i];
+      if (attempts >= decision.max_retries) {
+        results[i] = AppendResult::kIoError;
+        break;
+      }
+      ++attempts;
+      total_us += static_cast<std::int64_t>(decision.retry_backoff_us) *
+                  attempts;
+    }
+    longest_us = std::max(longest_us, total_us);
   }
-  const std::scoped_lock lock(mu_);
-  ++stats_.forces;
-  ++stats_.prepared_forces;
-  prepared_.push_back(std::move(record));
-  return AppendResult::kForced;
+  sleep_for_us(policy, longest_us);
+  for (std::size_t i = 0; i < round.size(); ++i) {
+    StableLog& log = *round[i].log;
+    const std::scoped_lock lock(log.mu_);
+    log.stats_.force_failures += failures[i];
+    if (results[i] != AppendResult::kForced) continue;
+    ++log.stats_.forces;
+    ++log.stats_.prepared_forces;
+    log.prepared_.push_back(std::move(round[i].record));
+  }
+  return results;
 }
 
 bool StableLog::promote_prepared(ActivityId txn, Timestamp commit_ts) {

@@ -120,12 +120,26 @@ class StableLog {
   // timestamp; drop discards it (abort, or presumed abort on recovery).
   // Both survive crash() / drop_pending(), exactly like forced records.
 
-  /// Forces a prepared record to stable storage. Pays the force latency
-  /// and consults the fault injector (a prepare force can fail like any
-  /// other force — the participant then vetoes). kDropped is never
-  /// returned: the prepare force is its own storage round trip, not part
-  /// of a group batch.
-  [[nodiscard]] AppendResult force_prepared(CommitLogRecord record);
+  /// One prepared record bound for one participant's log.
+  struct PreparedForce {
+    StableLog* log{nullptr};
+    CommitLogRecord record;
+  };
+
+  /// One 2PC prepare round: forces each record on its own log in a single
+  /// simulated storage round trip, so phase 1 costs the slowest
+  /// participant's force rather than the sum of them. Each log's fault
+  /// injector is asked exactly as for a lone force — on_force(1) per
+  /// attempt, retried with linear backoff — so every fault decision stays
+  /// a pure function of (seed, log, arrival). The round then sleeps once,
+  /// for the longest per-log total (force latency, injected latency and
+  /// backoff), and stabilizes or fails each record on its own: results[i]
+  /// is kForced (record i is stable in its log's prepared set) or
+  /// kIoError (its retries ran out). kDropped is never returned — a
+  /// prepare force is not part of a group batch, so drop_pending() cannot
+  /// discard it. A lone force is the round of one.
+  [[nodiscard]] static std::vector<AppendResult> force_prepared(
+      std::vector<PreparedForce> round);
 
   /// Commits a prepared record: moves it into the committed log with
   /// commit_ts replaced by the coordinator's decision timestamp. Returns

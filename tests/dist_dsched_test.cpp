@@ -12,10 +12,12 @@
 // replay to a byte-equal merged trace. Sources: seeded random and PCT
 // over 2-3 lanes, the same with a site recovering under the lanes' 2PCs
 // (the catch-up barrier), exhaustive DFS over the 2-lane x 1-txn tree,
-// and one pinned seed whose coordinator crash lands while another lane's
-// 2PC is in flight.
+// one pinned seed whose coordinator crash lands while another lane's 2PC
+// is in flight, and a churn lane that fails a participant site while
+// another lane's 2PC is inside its overlapped prepare round.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -45,6 +47,48 @@ struct DistLaneCase {
   /// site 2's copy misses it), recover site 2 — whose catch-up waits for
   /// the in-flight 2PCs and bars new ones — then transfer x1 -> x0.
   bool churn{false};
+  /// Gives every site log a simulated force latency and adds a churn
+  /// lane that fails participant site 0, then recovers it — landing, in
+  /// some schedules, inside another lane's prepare round.
+  bool fail_in_round{false};
+};
+
+/// Forwards every call to the scheduler and counts the lanes asleep in a
+/// simulated log force. In the fail_in_round runs the only site-log
+/// forces the transfer lanes make are prepare rounds (every transfer is
+/// a 2PC; the decision log has no latency), so a nonzero count seen from
+/// the churn lane means another lane is inside a round.
+class ForceSpy final : public WaitPolicy {
+ public:
+  explicit ForceSpy(WaitPolicy& inner) : inner_(inner) {}
+
+  [[nodiscard]] int in_force() const {
+    return in_force_.load(std::memory_order_acquire);
+  }
+
+  std::uint64_t now_us() override { return inner_.now_us(); }
+  void yield(const LaneHint& hint) override { inner_.yield(hint); }
+  void wait_round(const LaneHint& hint, const void* channel,
+                  std::unique_lock<std::mutex>& lock,
+                  std::condition_variable& cv,
+                  std::chrono::microseconds timeout) override {
+    inner_.wait_round(hint, channel, lock, cv, timeout);
+  }
+  void notify(const void* channel) override { inner_.notify(channel); }
+  void sleep_us(WaitPoint point, std::uint64_t us) override {
+    const bool force = point == WaitPoint::kLogSleep;
+    if (force) in_force_.fetch_add(1, std::memory_order_acq_rel);
+    inner_.sleep_us(point, us);
+    if (force) in_force_.fetch_sub(1, std::memory_order_acq_rel);
+  }
+  void adopt_daemon(std::string name) override {
+    inner_.adopt_daemon(std::move(name));
+  }
+  void retire_daemon() override { inner_.retire_daemon(); }
+
+ private:
+  WaitPolicy& inner_;
+  std::atomic<int> in_force_{0};
 };
 
 struct DistLaneRun : CaseResult {  // trace: the merged cross-site trace
@@ -53,6 +97,9 @@ struct DistLaneRun : CaseResult {  // trace: the merged cross-site trace
   /// The churn lane recovered site 2 while another lane's 2PC was in
   /// flight, so the catch-up was deferred behind it.
   bool deferred_catchup{false};
+  /// The fail_in_round lane failed site 0 while another lane was inside
+  /// a prepare round.
+  bool failed_in_round{false};
 };
 
 // One run of `c` under `source`: two single-copy accounts, x0 at site 0
@@ -66,11 +113,12 @@ DistLaneRun run_lanes(const DistLaneCase& c, ScheduleSource& source) {
   DschedOptions sched_options;
   sched_options.max_steps = 200'000;
   DeterministicScheduler sched(source, sched_options);
+  ForceSpy spy(sched);
   DistOptions options;
   options.sites = c.churn ? 3 : 2;
   options.protocol = Protocol::kHybrid;
   options.recorder = Runtime::RecorderMode::kFlight;
-  options.wait_policy = &sched;
+  options.wait_policy = &spy;
   DistRuntime dist(options);
   // Released before the runtime is torn down, whatever unwinds.
   const auto release_guard = on_scope_exit([&] { sched.release(); });
@@ -84,6 +132,9 @@ DistLaneRun run_lanes(const DistLaneCase& c, ScheduleSource& source) {
   for (std::size_t s = 0; s < dist.site_count(); ++s) {
     // Virtual time: timeouts are decided by the schedule.
     dist.site(s).runtime().set_wait_timeout_all(std::chrono::milliseconds(50));
+    if (c.fail_in_round) {
+      dist.site(s).tm().log().set_force_delay(std::chrono::microseconds(20));
+    }
   }
   {
     // Setup on the control thread (not a lane: a pass-through).
@@ -129,7 +180,15 @@ DistLaneRun run_lanes(const DistLaneCase& c, ScheduleSource& source) {
       transfer("x1", "x0", 1);
     });
   }
-  sched.await_lanes(static_cast<std::size_t>(c.lanes + (c.churn ? 1 : 0)));
+  if (c.fail_in_round) {
+    sched.spawn("fail", [&] {
+      out.failed_in_round = spy.in_force() > 0;
+      probes.check(dist.fail(0), "fail: site 0 was already down");
+      probes.check(dist.recover(0), "fail: site 0 refused to recover");
+    });
+  }
+  sched.await_lanes(static_cast<std::size_t>(c.lanes + (c.churn ? 1 : 0) +
+                                             (c.fail_in_round ? 1 : 0)));
   sched.run();
   out.schedule = sched.schedule_string();
   probes.check(!sched.overflowed(), "scheduler: run exceeded max_steps");
@@ -235,6 +294,31 @@ TEST(DistDsched, SiteRecoveryUnderInFlightTwoPcsCatchesUpBehindThem) {
     }
   }
   EXPECT_GT(deferred, 0u) << "no run deferred a catch-up behind a 2PC";
+}
+
+TEST(DistDsched, ParticipantFailureInsideTheOverlappedPrepareRound) {
+  // A churn lane fails participant site 0 and recovers it while the
+  // transfer lanes run their 2PCs. Whether the failure lands before a
+  // round (a clean veto), inside one (the record stabilizes at a site
+  // that lost its volatile state: recovery or delivery resolves it) or
+  // after it, every run certifies with a drained decision log and
+  // replays byte for byte — and some runs land inside a round.
+  std::uint64_t in_round = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    for (const bool pct : {false, true}) {
+      RandomScheduleSource random(seed);
+      PctScheduleSource priority(seed, /*change_points=*/3);
+      ScheduleSource& source =
+          pct ? static_cast<ScheduleSource&>(priority) : random;
+      const DistLaneRun run = run_and_replay(
+          {.lanes = 2, .txns_per_lane = 2, .fail_in_round = true}, source);
+      EXPECT_TRUE(run.failure.empty()) << run.failure;
+      EXPECT_EQ(run.stats.site_fails, 1u);
+      if (run.failed_in_round) ++in_round;
+    }
+  }
+  EXPECT_GT(in_round, 0u) << "no failure landed inside a prepare round";
 }
 
 TEST(DistDsched, DfsExhaustsTheTwoLaneOneTxnTree) {

@@ -178,6 +178,158 @@ TEST(DistRuntime, MidCommitSiteFailureVetoesTheTransaction) {
   certify_merged(dist);
 }
 
+// Seeds a two-site bank: s0 at site 0 and s1 at site 1, 100 each.
+std::unique_ptr<DistRuntime> make_seeded_pair() {
+  auto dist = make_bank(2, Protocol::kHybrid, {"s0", "s1"}, {});
+  const auto t = dist->begin();
+  dist->write(*t, "s0", account::deposit(100));
+  dist->write(*t, "s1", account::deposit(100));
+  dist->commit(t);
+  return dist;
+}
+
+/// Moves 10 from s0 to s1: a 2PC over sites 0 and 1.
+void transfer_s0_to_s1(DistRuntime& dist) {
+  const auto t = dist.begin();
+  dist.write(*t, "s0", account::withdraw(10));
+  dist.write(*t, "s1", account::deposit(10));
+  dist.commit(t);
+}
+
+TEST(DistRuntime, SiteFailingBetweenStagingAndTheRoundVetoesCleanly) {
+  // The liveness tick before site 1 is staged fails site 0, which is
+  // already staged. The check before the prepare round vetoes: nothing is
+  // forced anywhere, and site 1's proposal is retired, so its watermark
+  // moves past it instead of stalling every later commit there.
+  const auto distp = make_seeded_pair();
+  DistRuntime& dist = *distp;
+  const std::uint64_t forces0 =
+      dist.site(0).tm().log().group_stats().prepared_forces;
+  const std::uint64_t forces1 =
+      dist.site(1).tm().log().group_stats().prepared_forces;
+  const Timestamp watermark1 = dist.site(1).tm().clock().watermark();
+
+  // A seed whose site-fail rolls go: tick 1 spares both sites, tick 2
+  // fails site 0 (the budget then closes).
+  FaultPlan plan;
+  plan.site_fail_permille = 500;
+  plan.max_faults = 1;
+  bool found = false;
+  for (std::uint64_t seed = 1; seed <= 512 && !found; ++seed) {
+    plan.seed = seed;
+    FaultInjector scratch(plan);
+    found = !scratch.on_site_fail(0) && !scratch.on_site_fail(1) &&
+            scratch.on_site_fail(0);
+  }
+  ASSERT_TRUE(found) << "no seed fails site 0 at the second tick";
+  dist.set_fault_plan(plan);
+  try {
+    transfer_s0_to_s1(dist);
+    FAIL() << "a participant that failed after staging must veto";
+  } catch (const TransactionAborted& e) {
+    EXPECT_EQ(e.reason(), AbortReason::kUnavailable);
+  }
+  EXPECT_FALSE(dist.site(0).up());
+  EXPECT_EQ(dist.site(0).tm().log().group_stats().prepared_forces, forces0);
+  EXPECT_EQ(dist.site(1).tm().log().group_stats().prepared_forces, forces1);
+  EXPECT_TRUE(dist.site(0).tm().log().prepared_records().empty());
+  EXPECT_TRUE(dist.site(1).tm().log().prepared_records().empty());
+  EXPECT_EQ(dist.site(1).tm().clock().inflight(), 0u);
+  EXPECT_GT(dist.site(1).tm().clock().watermark(), watermark1);
+
+  for (std::size_t i = 0; i < dist.site_count(); ++i) {
+    dist.site(i).runtime().set_fault_injector(nullptr);
+    if (!dist.site(i).up()) {
+      EXPECT_TRUE(dist.recover(i));
+    }
+  }
+  EXPECT_EQ(dist.stats().presumed_aborts, 0u) << "nothing was in doubt";
+  EXPECT_EQ(read_balance(dist, "s0"), 100);
+  EXPECT_EQ(read_balance(dist, "s1"), 100);
+  certify_merged(dist);
+}
+
+TEST(DistRuntime, ForceFailureAtTheSecondParticipantDropsOnlyTheFirstRecord) {
+  // Every force at site 1 fails; site 0's force in the same round
+  // succeeds. The veto drops site 0's stable prepared record and nothing
+  // else: site 1 never stabilized one.
+  const auto distp = make_seeded_pair();
+  DistRuntime& dist = *distp;
+  const StableLog::GroupStats before0 = dist.site(0).tm().log().group_stats();
+  const StableLog::GroupStats before1 = dist.site(1).tm().log().group_stats();
+  FaultPlan plan;
+  plan.force_fail_permille = 1000;
+  plan.force_max_retries = 0;
+  dist.site(1).runtime().set_fault_injector(
+      std::make_shared<FaultInjector>(plan));
+  EXPECT_THROW(transfer_s0_to_s1(dist), TransactionAborted);
+  dist.site(1).runtime().set_fault_injector(nullptr);
+
+  const StableLog::GroupStats after0 = dist.site(0).tm().log().group_stats();
+  const StableLog::GroupStats after1 = dist.site(1).tm().log().group_stats();
+  EXPECT_EQ(after0.prepared_forces - before0.prepared_forces, 1u);
+  EXPECT_EQ(after0.prepared_dropped - before0.prepared_dropped, 1u);
+  EXPECT_EQ(after1.prepared_forces - before1.prepared_forces, 0u);
+  EXPECT_EQ(after1.prepared_dropped - before1.prepared_dropped, 0u);
+  EXPECT_EQ(after1.force_failures - before1.force_failures, 1u);
+  EXPECT_TRUE(dist.site(0).tm().log().prepared_records().empty());
+  EXPECT_TRUE(dist.site(1).tm().log().prepared_records().empty());
+  EXPECT_EQ(dist.site(0).tm().clock().inflight(), 0u);
+  EXPECT_EQ(dist.site(1).tm().clock().inflight(), 0u);
+  EXPECT_EQ(dist.stats().two_pc_commits, 1u);  // the seeding 2PC only
+
+  // The sites stay usable: the same transfer now commits.
+  transfer_s0_to_s1(dist);
+  EXPECT_EQ(read_balance(dist, "s0"), 90);
+  EXPECT_EQ(read_balance(dist, "s1"), 110);
+  certify_merged(dist);
+}
+
+TEST(DistRuntime, ThreeSiteTwoPcCertifiesAndConservesMoney) {
+  // Three participants prepare in one round: every transfer forces one
+  // prepared record per site and commits at the maximum proposal.
+  const auto distp =
+      make_bank(3, Protocol::kHybrid, {"s0", "s1", "s2"}, {});
+  DistRuntime& dist = *distp;
+  {
+    const auto t = dist.begin();
+    for (const char* name : {"s0", "s1", "s2"}) {
+      dist.write(*t, name, account::deposit(100));
+    }
+    dist.commit(t);
+    EXPECT_EQ(t->participants(), (std::vector<std::size_t>{0, 1, 2}));
+  }
+  constexpr int kTransfers = 12;
+  SplitMix64 rng(7);
+  const char* names[] = {"s0", "s1", "s2"};
+  for (int i = 0; i < kTransfers; ++i) {
+    // Withdraw from one account, split the amount over the other two.
+    const std::size_t from = rng.below(3);
+    const std::int64_t a = rng.range(1, 10);
+    const std::int64_t b = rng.range(1, 10);
+    const auto t = dist.begin();
+    if (dist.write(*t, names[from], account::withdraw(a + b)).is_unit()) {
+      dist.write(*t, names[(from + 1) % 3], account::deposit(a));
+      dist.write(*t, names[(from + 2) % 3], account::deposit(b));
+    }
+    dist.commit(t);
+  }
+  const DistStats stats = dist.stats();
+  EXPECT_EQ(stats.aborts, 0u);
+  std::int64_t total = 0;
+  for (const char* name : names) total += read_balance(dist, name);
+  EXPECT_EQ(total, 300);
+  for (std::size_t i = 0; i < dist.site_count(); ++i) {
+    const StableLog::GroupStats log = dist.site(i).tm().log().group_stats();
+    EXPECT_EQ(log.prepared_forces, stats.two_pc_commits) << "site " << i;
+    EXPECT_EQ(log.prepared_promoted, stats.two_pc_commits) << "site " << i;
+    EXPECT_TRUE(dist.site(i).tm().log().prepared_records().empty());
+  }
+  EXPECT_EQ(stats.decisions_logged, stats.two_pc_commits);
+  EXPECT_EQ(dist.decision_log().outstanding(), 0u);
+  certify_merged(dist);
+}
+
 TEST(DistRuntime, AvailableCopiesServeReadsWhileAnyReplicaLives) {
   const auto distp = make_bank(3, Protocol::kHybrid, {}, {"r0"});
   DistRuntime& dist = *distp;
@@ -623,6 +775,12 @@ TEST(DistRuntime, RegisterMetricsExportsDistCounters) {
   DistRuntime& dist = *distp;
   MetricsRegistry registry;
   dist.register_metrics(registry);
+  // Simulated force latency, so the 2PC histograms hold real durations.
+  constexpr auto kForce = std::chrono::microseconds(300);
+  for (std::size_t i = 0; i < dist.site_count(); ++i) {
+    dist.site(i).tm().log().set_force_delay(kForce);
+  }
+  dist.decision_log().set_force_delay(kForce);
   {
     const auto t = dist.begin();
     dist.write(*t, "s0", account::deposit(100));
@@ -641,6 +799,30 @@ TEST(DistRuntime, RegisterMetricsExportsDistCounters) {
   EXPECT_NE(text.find("argus_dist_decisions_outstanding 0"),
             std::string::npos)
       << text;
+  // One 2PC: one prepare round and one decision force, each at least one
+  // simulated force long (a sleep never returns early).
+  EXPECT_NE(text.find("argus_dist_prepare_round_us_count 1"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("argus_dist_decision_force_us_count 1"),
+            std::string::npos)
+      << text;
+  for (const char* name :
+       {"argus_dist_prepare_round_us", "argus_dist_decision_force_us"}) {
+    const LatencyStats h = registry.histogram(name, "").stats();
+    EXPECT_EQ(h.count(), 1u) << name;
+    EXPECT_GE(h.max(), static_cast<double>(kForce.count())) << name;
+  }
+  // A one-phase commit forces no prepare round.
+  {
+    const auto t = dist.begin();
+    dist.write(*t, "s0", account::deposit(1));
+    dist.commit(t);
+  }
+  EXPECT_EQ(registry.histogram("argus_dist_prepare_round_us", "")
+                .stats()
+                .count(),
+            1u);
   // Scrapes are live: a coordinator crash/recover cycle shows up.
   EXPECT_TRUE(dist.crash_coordinator());
   EXPECT_TRUE(dist.recover_coordinator());

@@ -78,6 +78,17 @@ TEST(DistSweepConfig, RejectsMalformedInput) {
   EXPECT_FALSE(parse_case("sites banana\n", &c, &error));
   EXPECT_NE(error.find("not a number"), std::string::npos);
   EXPECT_FALSE(parse_case("sites 0\n", &c, &error));
+  EXPECT_FALSE(parse_case("sites 3x\n", &c, &error));
+  EXPECT_NE(error.find("not a number"), std::string::npos);
+  EXPECT_FALSE(parse_case("sites +2\n", &c, &error));
+  EXPECT_FALSE(parse_case("sharded -1\n", &c, &error));
+  EXPECT_NE(error.find("out of range"), std::string::npos);
+  // A case cannot ask for thousands of sites.
+  EXPECT_FALSE(parse_case("sites 100000\n", &c, &error));
+  EXPECT_NE(error.find("sites must be <="), std::string::npos) << error;
+  EXPECT_TRUE(parse_case("sites " + std::to_string(kMaxCaseSites) + "\n", &c,
+                         &error))
+      << error;
   EXPECT_FALSE(parse_case("protocol occ\n", &c, &error))
       << "2PC needs a protocol that can hold a decision open";
   EXPECT_FALSE(parse_case("sharded 0\nreplicated 0\n", &c, &error));

@@ -232,6 +232,19 @@ TEST(SchedCase, ParseRejectsGarbage) {
   EXPECT_FALSE(parse_case("kind sideways\n", &out, &error));
   EXPECT_FALSE(parse_case("adt heap\n", &out, &error));
   EXPECT_FALSE(parse_case("lanes 0\n", &out, &error));
+  EXPECT_FALSE(parse_case("lanes 3x\n", &out, &error));
+  EXPECT_NE(error.find("not a number"), std::string::npos);
+  EXPECT_FALSE(parse_case("objects +2\n", &out, &error));
+  EXPECT_FALSE(parse_case("txns_per_lane -1\n", &out, &error));
+  EXPECT_NE(error.find("out of range"), std::string::npos);
+  // A case cannot ask for thousands of lanes (threads) or objects.
+  EXPECT_FALSE(parse_case("lanes 100000\n", &out, &error));
+  EXPECT_NE(error.find("lanes must be <="), std::string::npos) << error;
+  EXPECT_FALSE(parse_case("objects 100000\n", &out, &error));
+  EXPECT_NE(error.find("objects must be <="), std::string::npos) << error;
+  EXPECT_TRUE(parse_case("lanes " + std::to_string(kMaxCaseLanes) + "\n",
+                         &out, &error))
+      << error;
   EXPECT_FALSE(parse_case("schedule s9:01\n", &out, &error));
   EXPECT_FALSE(parse_case("seed 1 2\n", &out, &error));
   EXPECT_FALSE(parse_case("no_such_key 1\n", &out, &error));

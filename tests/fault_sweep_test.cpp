@@ -53,10 +53,44 @@ TEST(FaultSweepConfig, RejectsMalformedInput) {
   EXPECT_FALSE(parse_case("seed 1 2\n", &c, &error));
   EXPECT_FALSE(parse_case("accounts -1\n", &c, &error));
   EXPECT_NE(error.find("out of range"), std::string::npos);
+  // Counts are plain decimal digits: no suffix, sign or hex.
+  for (const char* bad : {"accounts 3x\n", "accounts +3\n", "accounts 0x3\n",
+                          "transactions 1e3\n", "seed 5.\n"}) {
+    EXPECT_FALSE(parse_case(bad, &c, &error)) << bad;
+    EXPECT_NE(error.find("not a number"), std::string::npos) << bad;
+  }
+  EXPECT_FALSE(parse_case("seed 18446744073709551616\n", &c, &error));
+  EXPECT_NE(error.find("out of range"), std::string::npos);
+  // A case sizes its run: the account count is bounded.
+  EXPECT_FALSE(parse_case("accounts 100000\n", &c, &error));
+  EXPECT_NE(error.find("accounts must be <="), std::string::npos) << error;
+  EXPECT_TRUE(parse_case("accounts " + std::to_string(kMaxCaseObjects) + "\n",
+                         &c, &error))
+      << error;
   // Comments and blank lines are fine.
   EXPECT_TRUE(parse_case("# comment\n\n  seed 5\n", &c, &error))
       << error;
   EXPECT_EQ(c.plan.seed, 5u);
+}
+
+TEST(FaultSweepConfig, ParseCountTakesOnlyPlainDigits) {
+  std::uint32_t n = 7;
+  EXPECT_EQ(parse_count("42", &n), "");
+  EXPECT_EQ(n, 42u);
+  EXPECT_EQ(parse_count("0", &n), "");
+  EXPECT_EQ(n, 0u);
+  // The line lexer splits on whitespace, so only a direct caller can pass
+  // these; they must not parse either.
+  for (const char* bad : {" 4", "4 ", "\t4", "", "-", "+4", "4x", "--4"}) {
+    EXPECT_NE(parse_count(bad, &n), "") << "'" << bad << "'";
+  }
+  EXPECT_NE(parse_count("4294967296", &n), "");  // one past uint32 max
+  EXPECT_NE(parse_count("-1", &n).find("out of range"), std::string::npos);
+  int lanes = 0;
+  EXPECT_EQ(parse_bounded("lanes", "3", kMaxCaseLanes, &lanes), "");
+  EXPECT_EQ(lanes, 3);
+  EXPECT_NE(parse_bounded("lanes", "0", kMaxCaseLanes, &lanes), "");
+  EXPECT_NE(parse_bounded("lanes", "100000", kMaxCaseLanes, &lanes), "");
 }
 
 TEST(FaultSweep, EnumeratesTheFullGrid) {

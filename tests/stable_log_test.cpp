@@ -3,7 +3,11 @@
 // failed by drop_pending (never silently lost, never half-applied),
 // transient force failures retry then surface as I/O errors, and the
 // crash path is idempotent. Concurrency here is real (committer threads),
-// so these tests double as TSan coverage for the injector hooks.
+// so these tests double as TSan coverage for the injector hooks. The 2PC
+// prepare round (StableLog::force_prepared) overlaps one force per log:
+// one sleep of the longest per-log total, the same fault decisions as
+// one lone force per log, and a failure on one log that leaves the
+// others' records stable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +16,8 @@
 #include <thread>
 
 #include "core/runtime.h"
+#include "dsched/schedule_source.h"
+#include "dsched/task_lane.h"
 #include "fault/fault.h"
 #include "spec/adts/bank_account.h"
 #include "txn/stable_log.h"
@@ -250,6 +256,145 @@ TEST(StableLogFaults, SetForceDelayRacesInFlightLeadersSafely) {
   for (auto& t : committers) t.join();
   EXPECT_EQ(forced.load(), kThreads * kPerThread);
   EXPECT_EQ(log.size(), static_cast<std::size_t>(kThreads * kPerThread));
+}
+
+std::vector<AppendResult> force_round(StableLog& a, StableLog& b,
+                                      std::uint64_t ts) {
+  std::vector<StableLog::PreparedForce> round;
+  round.push_back({&a, record_with_ts(ts)});
+  round.push_back({&b, record_with_ts(ts)});
+  return StableLog::force_prepared(std::move(round));
+}
+
+AppendResult force_alone(StableLog& log, std::uint64_t ts) {
+  std::vector<StableLog::PreparedForce> round;
+  round.push_back({&log, record_with_ts(ts)});
+  return StableLog::force_prepared(std::move(round)).at(0);
+}
+
+TEST(PreparedRound, SleepsOnceForTheLongestPerLogTotal) {
+  // Log a: a 40 us force that fails once, backs off 30 us and retries —
+  // 110 us in total. Log b: one clean 100 us force. Forced one after the
+  // other they would take 210 us of virtual time; the round takes the
+  // longest total, plus the scheduler's per-decision quanta.
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.force_fail_permille = 1000;
+  plan.force_max_retries = 3;
+  plan.force_retry_backoff_us = 30;
+  plan.max_faults = 1;
+  FaultInjector injector(plan);
+
+  RandomScheduleSource source(1);
+  DeterministicScheduler sched(source);
+  StableLog a;
+  StableLog b;
+  a.set_force_delay(std::chrono::microseconds(40));
+  b.set_force_delay(std::chrono::microseconds(100));
+  a.set_fault_injector(&injector);
+  a.set_wait_policy(&sched);
+  b.set_wait_policy(&sched);
+  std::uint64_t elapsed = 0;
+  std::vector<AppendResult> results;
+  sched.spawn("round", [&] {
+    const std::uint64_t start = sched.now_us();
+    results = force_round(a, b, 1);
+    elapsed = sched.now_us() - start;
+  });
+  sched.run();
+
+  EXPECT_EQ(results, (std::vector<AppendResult>{AppendResult::kForced,
+                                                AppendResult::kForced}));
+  EXPECT_GE(elapsed, 110u);
+  EXPECT_LT(elapsed, 120u) << "the round slept more than once";
+  EXPECT_EQ(a.group_stats().force_failures, 1u);
+  EXPECT_EQ(a.prepared_records().size(), 1u);
+  EXPECT_EQ(b.prepared_records().size(), 1u);
+  a.set_fault_injector(nullptr);
+}
+
+TEST(PreparedRound, DrawsTheSameFaultStreamAsOneForcePerLog) {
+  // Each log's injector sees exactly the on_force(1) calls a lone force
+  // would make, in the same order: rounds over two logs and one lone
+  // force per log, round after round, agree on every outcome, every
+  // injected fault and every counter.
+  FaultPlan plan;
+  plan.force_fail_permille = 300;
+  plan.force_max_retries = 1;
+  plan.force_retry_backoff_us = 0;
+  plan.leader_latency_permille = 300;
+  plan.leader_latency_us = 5;
+  FaultPlan plan_b = plan;
+  plan.seed = 17;
+  plan_b.seed = 18;
+  FaultInjector round_a(plan);
+  FaultInjector round_b(plan_b);
+  FaultInjector alone_a(plan);
+  FaultInjector alone_b(plan_b);
+  StableLog ra;
+  StableLog rb;
+  StableLog sa;
+  StableLog sb;
+  ra.set_fault_injector(&round_a);
+  rb.set_fault_injector(&round_b);
+  sa.set_fault_injector(&alone_a);
+  sb.set_fault_injector(&alone_b);
+
+  std::size_t io_errors = 0;
+  for (std::uint64_t ts = 1; ts <= 40; ++ts) {
+    const std::vector<AppendResult> round = force_round(ra, rb, ts);
+    const std::vector<AppendResult> alone{force_alone(sa, ts),
+                                          force_alone(sb, ts)};
+    EXPECT_EQ(round, alone) << "round " << ts;
+    for (const AppendResult r : round) {
+      if (r == AppendResult::kIoError) ++io_errors;
+    }
+  }
+  EXPECT_GT(io_errors, 0u) << "the plan never exhausted a retry budget";
+  EXPECT_EQ(round_a.trace_to_string(), alone_a.trace_to_string());
+  EXPECT_EQ(round_b.trace_to_string(), alone_b.trace_to_string());
+  const auto same_stats = [](const StableLog& x, const StableLog& y) {
+    const auto sx = x.group_stats();
+    const auto sy = y.group_stats();
+    EXPECT_EQ(sx.forces, sy.forces);
+    EXPECT_EQ(sx.prepared_forces, sy.prepared_forces);
+    EXPECT_EQ(sx.force_failures, sy.force_failures);
+    EXPECT_EQ(x.prepared_records().size(), y.prepared_records().size());
+  };
+  same_stats(ra, sa);
+  same_stats(rb, sb);
+  for (StableLog* log : {&ra, &rb, &sa, &sb}) log->set_fault_injector(nullptr);
+}
+
+TEST(PreparedRound, IoErrorOnOneLogLeavesTheOtherRecordStable) {
+  FaultPlan plan;
+  plan.seed = 31;
+  plan.force_fail_permille = 1000;  // every attempt on log a fails
+  plan.force_max_retries = 1;
+  plan.force_retry_backoff_us = 1;
+  FaultInjector injector(plan);
+  StableLog a;
+  StableLog b;
+  a.set_fault_injector(&injector);
+
+  EXPECT_EQ(force_round(a, b, 7),
+            (std::vector<AppendResult>{AppendResult::kIoError,
+                                       AppendResult::kForced}));
+  const auto sa = a.group_stats();
+  EXPECT_EQ(sa.force_failures, 2u);  // initial attempt + 1 retry
+  EXPECT_EQ(sa.forces, 0u);
+  EXPECT_EQ(sa.prepared_forces, 0u);
+  EXPECT_TRUE(a.prepared_records().empty());
+  const auto sb = b.group_stats();
+  EXPECT_EQ(sb.force_failures, 0u);
+  EXPECT_EQ(sb.forces, 1u);
+  EXPECT_EQ(sb.prepared_forces, 1u);
+  ASSERT_EQ(b.prepared_records().size(), 1u);
+  EXPECT_EQ(b.prepared_records()[0].txn, ActivityId{7});
+  // The stable prepared record survives a crash of its log.
+  b.drop_pending();
+  EXPECT_EQ(b.prepared_records().size(), 1u);
+  a.set_fault_injector(nullptr);
 }
 
 }  // namespace
