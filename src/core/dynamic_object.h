@@ -3,10 +3,11 @@
 //
 // Protocol (intentions lists + data-dependent admission):
 //   * Each active transaction's executed operations are buffered in an
-//     intentions list; its view is the committed state plus its own
-//     intentions. Nothing tentative is ever visible to other
-//     transactions, which is what makes aborts free (discard the list) —
-//     the [Lampson & Sturgis]-style recovery the paper pairs with locking.
+//     intentions list (core/intentions.h); its view is the committed
+//     state plus its own intentions. Nothing tentative is ever visible to
+//     other transactions, which is what makes aborts free (discard the
+//     list) — the [Lampson & Sturgis]-style recovery the paper pairs with
+//     locking.
 //   * A new operation is admitted only if every recorded result stays
 //     reproducible under *every* subset and ordering of the concurrently
 //     active transactions (core/validation.h) — the §4.1 requirement that
@@ -23,16 +24,17 @@
 // operations that statically commute with everything pending; the exact
 // test additionally admits the §5.1 interleavings (concurrent covered
 // withdraws, equal-value enqueues) that conflict tables must reject.
+//
+// AdmissionObject is that admission, shared with HybridAtomicObject,
+// which processes updates exactly this way (§4.3).
 #pragma once
 
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/object_base.h"
+#include "core/intentions.h"
 #include "core/validation.h"
 #include "spec/adt_spec.h"
 
@@ -54,108 +56,28 @@ enum class AdmissionMode {
   kChaosAdmitAll,
 };
 
+/// Generic data-dependent admission over an intentions table.
 template <AdtTraits A>
-class DynamicAtomicObject final : public ObjectBase {
- public:
-  DynamicAtomicObject(ObjectId oid, std::string name, TransactionManager& tm,
-                      EventSink* recorder,
-                      AdmissionMode mode = AdmissionMode::kExact)
-      : ObjectBase(oid, std::move(name), tm, recorder), mode_(mode) {}
+class AdmissionObject : public IntentionsObject<A> {
+ protected:
+  using Entry = typename IntentionsObject<A>::Entry;
 
-  Value invoke(Transaction& txn, const Operation& op) override {
-    txn.ensure_active();
-    if (txn.read_only() && !A::is_read_only(op)) {
-      throw UsageError("read-only transaction invoked mutator " +
-                       to_string(op) + " on " + name());
-    }
-    txn.touch(this);
-    sched_point(op);
-
-    std::unique_lock lock(mu_);
-    record(argus::invoke(id(), txn.id(), op));
-
-    std::optional<Value> result;
-    await(
-        lock, txn, [&] { return (result = try_admit(txn, op)).has_value(); },
-        [&] { return blockers(txn); });
-
-    record(respond(id(), txn.id(), *result));
-    return *result;
-  }
-
-  void prepare(Transaction& txn) override { txn.ensure_active(); }
-
-  void commit(Transaction& txn, Timestamp /*commit_ts*/) override {
-    const std::scoped_lock lock(mu_);
-    auto it = intentions_.find(txn.id());
-    if (it != intentions_.end()) {
-      auto states = replay_logged<A>({committed_}, it->second.ops);
-      // Admission maintained replayability; an empty set here would mean
-      // the invariant was broken.
-      if (!states.empty()) committed_ = std::move(states.front());
-      intentions_.erase(it);
-    }
-    record(argus::commit(id(), txn.id()));
-    notify_object();
-  }
-
-  void abort(Transaction& txn) override {
-    const std::scoped_lock lock(mu_);
-    intentions_.erase(txn.id());
-    record(argus::abort(id(), txn.id()));
-    notify_object();
-  }
-
-  [[nodiscard]] std::vector<LoggedOp> intentions_of(
-      const Transaction& txn) const override {
-    const std::scoped_lock lock(mu_);
-    auto it = intentions_.find(txn.id());
-    return it == intentions_.end() ? std::vector<LoggedOp>{} : it->second.ops;
-  }
-
-  void reset_for_recovery() override {
-    const std::scoped_lock lock(mu_);
-    committed_ = A::initial();
-    intentions_.clear();
-    notify_object();
-  }
-
-  void replay(const ReplayContext&, const LoggedOp& logged) override {
-    const std::scoped_lock lock(mu_);
-    auto states = replay_logged<A>({committed_}, {logged});
-    if (states.empty()) {
-      throw UsageError("recovery replay diverged at " + name() + " for " +
-                       to_string(logged.op));
-    }
-    committed_ = std::move(states.front());
-  }
-
-  /// Test hook: the committed state (no tentative effects).
-  [[nodiscard]] typename A::State committed_state() const {
-    const std::scoped_lock lock(mu_);
-    return committed_;
-  }
+  AdmissionObject(ObjectId oid, std::string name, TransactionManager& tm,
+                  EventSink* recorder, AdmissionMode mode, bool versioned)
+      : IntentionsObject<A>(oid, std::move(name), tm, recorder, versioned),
+        mode_(mode) {}
 
  private:
-  struct TxnEntry {
-    std::weak_ptr<Transaction> owner;
-    std::vector<LoggedOp> ops;
-  };
-
-  /// Attempts to admit (op -> result) for txn under the current
-  /// intentions. Returns the result on success; nullopt means "block".
-  /// Called with mu_ held.
-  std::optional<Value> try_admit(Transaction& txn, const Operation& op) {
-    auto& mine = intentions_[txn.id()];
-    mine.owner = txn.weak_from_this();
-
+  std::optional<Value> try_admit(Transaction& txn, Entry& mine,
+                                 const Operation& op) final {
+    const auto& committed = this->committed_.current();
     // The transaction's own view: committed state plus own intentions.
-    auto view = replay_logged<A>({committed_}, mine.ops);
+    auto view = replay_logged<A>({committed}, mine.ops);
     if (view.empty()) return std::nullopt;  // cannot happen if admission is sound
 
     std::vector<const std::vector<LoggedOp>*> others;
     bool all_static_commute = true;
-    for (const auto& [aid, entry] : intentions_) {
+    for (const auto& [aid, entry] : this->intentions_) {
       if (aid == txn.id() || entry.ops.empty()) continue;
       others.push_back(&entry.ops);
       for (const LoggedOp& held : entry.ops) {
@@ -173,7 +95,7 @@ class DynamicAtomicObject final : public ObjectBase {
       self.push_back(LoggedOp{op, result});
       if (!admit && mode_ == AdmissionMode::kExact &&
           others.size() <= kMaxExactValidation) {
-        admit = validate_all_orders<A>(committed_, others, self);
+        admit = validate_all_orders<A>(committed, others, self);
       }
       if (mode_ == AdmissionMode::kChaosAdmitAll) admit = true;
       if (admit) {
@@ -184,20 +106,24 @@ class DynamicAtomicObject final : public ObjectBase {
     return std::nullopt;
   }
 
-  std::vector<std::shared_ptr<Transaction>> blockers(const Transaction& txn) {
-    std::vector<std::shared_ptr<Transaction>> out;
-    for (const auto& [aid, entry] : intentions_) {
-      if (aid == txn.id() || entry.ops.empty()) continue;
-      if (auto t = entry.owner.lock(); t && t->active()) {
-        out.push_back(std::move(t));
-      }
-    }
-    return out;
-  }
-
   const AdmissionMode mode_;
-  typename A::State committed_ = A::initial();  // guarded by mu_
-  std::map<ActivityId, TxnEntry> intentions_;   // guarded by mu_
+};
+
+template <AdtTraits A>
+class DynamicAtomicObject final : public AdmissionObject<A> {
+ public:
+  DynamicAtomicObject(ObjectId oid, std::string name, TransactionManager& tm,
+                      EventSink* recorder,
+                      AdmissionMode mode = AdmissionMode::kExact)
+      : AdmissionObject<A>(oid, std::move(name), tm, recorder, mode,
+                           /*versioned=*/false) {}
+
+ private:
+  /// Dynamic atomicity has no timestamps: a plain <commit,x,a>.
+  [[nodiscard]] Event commit_event(const Transaction& txn,
+                                   Timestamp /*commit_ts*/) const override {
+    return argus::commit(this->id(), txn.id());
+  }
 };
 
 }  // namespace argus

@@ -4,34 +4,11 @@ namespace argus {
 
 EscrowAccount::EscrowAccount(ObjectId oid, std::string name,
                              TransactionManager& tm, EventSink* recorder)
-    : ObjectBase(oid, std::move(name), tm, recorder) {}
+    : IntentionsObject(oid, std::move(name), tm, recorder,
+                       /*versioned=*/false) {}
 
-Value EscrowAccount::invoke(Transaction& txn, const Operation& op) {
-  txn.ensure_active();
-  if (txn.read_only() && !BankAccountAdt::is_read_only(op)) {
-    throw UsageError("read-only transaction invoked mutator " + to_string(op) +
-                     " on " + name());
-  }
-  txn.touch(this);
-  sched_point(op);
-
-  std::unique_lock lock(mu_);
-  record(argus::invoke(id(), txn.id(), op));
-
-  std::optional<Value> result;
-  await(
-      lock, txn, [&] { return (result = try_admit(txn, op)).has_value(); },
-      [&] { return blockers(txn.id()); });
-
-  record(respond(id(), txn.id(), *result));
-  return *result;
-}
-
-std::optional<Value> EscrowAccount::try_admit(Transaction& txn,
+std::optional<Value> EscrowAccount::try_admit(Transaction& txn, Entry& mine,
                                               const Operation& op) {
-  auto& mine = intentions_[txn.id()];
-  mine.owner = txn.weak_from_this();
-
   // Aggregate the other active transactions' pending effects.
   std::int64_t others_out = 0;
   std::int64_t others_in = 0;
@@ -40,21 +17,24 @@ std::optional<Value> EscrowAccount::try_admit(Transaction& txn,
   bool others_state_change = false;
   for (const auto& [aid, entry] : intentions_) {
     if (aid == txn.id()) continue;
-    others_out += entry.out;
-    others_in += entry.in;
-    others_balance_exact |= entry.balance_exact;
-    others_any_exact |= entry.balance_exact || entry.insufficient_exact;
-    others_state_change |= entry.in > 0 || entry.out > 0;
+    const EscrowHold& hold = entry.extra;
+    others_out += hold.out;
+    others_in += hold.in;
+    others_balance_exact |= hold.balance_exact;
+    others_any_exact |= hold.balance_exact || hold.insufficient_exact;
+    others_state_change |= hold.in > 0 || hold.out > 0;
   }
-  const std::int64_t own_net = mine.in - mine.out;
+  EscrowHold& own = mine.extra;
+  const std::int64_t own_net = own.in - own.out;
+  const std::int64_t committed = committed_.current();
 
   if (op.name == "balance" && op.args.empty()) {
     // An exact observation: valid in every order only while no other
     // transaction has pending state changes. (Pending *failed*
     // withdrawals don't change state and don't disturb us.)
     if (others_state_change) return std::nullopt;
-    mine.balance_exact = true;
-    const Value result{committed_ + own_net};
+    own.balance_exact = true;
+    const Value result{committed + own_net};
     mine.ops.push_back(LoggedOp{account::balance(), result});
     return result;
   }
@@ -70,19 +50,19 @@ std::optional<Value> EscrowAccount::try_admit(Transaction& txn,
     // observation held by another active transaction (a balance result,
     // or an insufficient_funds result it could flip to success).
     if (others_any_exact) return std::nullopt;
-    mine.in += n;
+    own.in += n;
     mine.ops.push_back(LoggedOp{account::deposit(n), ok()});
     return ok();
   }
 
   if (op.name == "withdraw") {
-    const std::int64_t low = committed_ - others_out + own_net;
-    const std::int64_t high = committed_ + others_in + own_net;
+    const std::int64_t low = committed - others_out + own_net;
+    const std::int64_t high = committed + others_in + own_net;
     if (n <= low && !others_balance_exact) {
       // Covered in every serialization; lowering the balance cannot flip
       // another's insufficient result, but would invalidate a balance
       // observation.
-      mine.out += n;
+      own.out += n;
       mine.ops.push_back(LoggedOp{account::withdraw(n), ok()});
       return ok();
     }
@@ -90,7 +70,7 @@ std::optional<Value> EscrowAccount::try_admit(Transaction& txn,
       // Fails in every serialization; no state change, so nothing held
       // by others is disturbed. Pin as an exact observation so later
       // deposits can't invalidate it.
-      mine.insufficient_exact = true;
+      own.insufficient_exact = true;
       const Value result{kInsufficientFunds};
       mine.ops.push_back(LoggedOp{account::withdraw(n), result});
       return result;
@@ -101,65 +81,9 @@ std::optional<Value> EscrowAccount::try_admit(Transaction& txn,
   throw UsageError("unknown account operation " + to_string(op));
 }
 
-std::vector<std::shared_ptr<Transaction>> EscrowAccount::blockers(
-    ActivityId self) {
-  std::vector<std::shared_ptr<Transaction>> out;
-  for (const auto& [aid, entry] : intentions_) {
-    if (aid == self || entry.ops.empty()) continue;
-    if (auto t = entry.owner.lock(); t && t->active()) {
-      out.push_back(std::move(t));
-    }
-  }
-  return out;
-}
-
-void EscrowAccount::prepare(Transaction& txn) { txn.ensure_active(); }
-
-void EscrowAccount::commit(Transaction& txn, Timestamp /*commit_ts*/) {
-  const std::scoped_lock lock(mu_);
-  auto it = intentions_.find(txn.id());
-  if (it != intentions_.end()) {
-    committed_ += it->second.in - it->second.out;
-    intentions_.erase(it);
-  }
-  record(argus::commit(id(), txn.id()));
-  notify_object();
-}
-
-void EscrowAccount::abort(Transaction& txn) {
-  const std::scoped_lock lock(mu_);
-  intentions_.erase(txn.id());
-  record(argus::abort(id(), txn.id()));
-  notify_object();
-}
-
-std::vector<LoggedOp> EscrowAccount::intentions_of(
-    const Transaction& txn) const {
-  const std::scoped_lock lock(mu_);
-  auto it = intentions_.find(txn.id());
-  return it == intentions_.end() ? std::vector<LoggedOp>{} : it->second.ops;
-}
-
-void EscrowAccount::reset_for_recovery() {
-  const std::scoped_lock lock(mu_);
-  committed_ = 0;
-  intentions_.clear();
-  notify_object();
-}
-
-void EscrowAccount::replay(const ReplayContext&, const LoggedOp& logged) {
-  const std::scoped_lock lock(mu_);
-  if (logged.op.name == "deposit") {
-    committed_ += logged.op.args[0].as_int();
-  } else if (logged.op.name == "withdraw" && logged.result == ok()) {
-    committed_ -= logged.op.args[0].as_int();
-  }
-  // balance reads and failed withdrawals have no redo effect.
-}
-
-std::int64_t EscrowAccount::committed_balance() const {
-  const std::scoped_lock lock(mu_);
-  return committed_;
+Event EscrowAccount::commit_event(const Transaction& txn,
+                                  Timestamp /*commit_ts*/) const {
+  return argus::commit(id(), txn.id());
 }
 
 }  // namespace argus

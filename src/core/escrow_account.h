@@ -32,53 +32,40 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
-#include "core/object_base.h"
+#include "core/intentions.h"
 #include "spec/adts/bank_account.h"
-#include "txn/stable_log.h"
 
 namespace argus {
 
-class EscrowAccount final : public ObjectBase {
+/// A transaction's escrow bounds and exact observations at one account.
+struct EscrowHold {
+  std::int64_t in{0};   // pending deposits
+  std::int64_t out{0};  // pending successful withdrawals
+  bool balance_exact{false};       // holds a balance result
+  bool insufficient_exact{false};  // holds an insufficient_funds result
+};
+
+class EscrowAccount final
+    : public IntentionsObject<BankAccountAdt, EscrowHold> {
  public:
   EscrowAccount(ObjectId oid, std::string name, TransactionManager& tm,
                 EventSink* recorder);
 
-  Value invoke(Transaction& txn, const Operation& op) override;
-  void prepare(Transaction& txn) override;
-  void commit(Transaction& txn, Timestamp commit_ts) override;
-  void abort(Transaction& txn) override;
-  [[nodiscard]] std::vector<LoggedOp> intentions_of(
-      const Transaction& txn) const override;
-  void reset_for_recovery() override;
-  void replay(const ReplayContext& ctx, const LoggedOp& logged) override;
-
   /// Test hook.
-  [[nodiscard]] std::int64_t committed_balance() const;
+  [[nodiscard]] std::int64_t committed_balance() const {
+    return committed_state();
+  }
 
  private:
-  struct TxnEntry {
-    std::weak_ptr<Transaction> owner;
-    std::vector<LoggedOp> ops;
-    std::int64_t in{0};   // pending deposits
-    std::int64_t out{0};  // pending successful withdrawals
-    bool balance_exact{false};       // holds a balance result
-    bool insufficient_exact{false};  // holds an insufficient_funds result
-  };
+  std::optional<Value> try_admit(Transaction& txn, Entry& mine,
+                                 const Operation& op) override;
 
-  /// Returns the admitted result, or nullopt to keep waiting. Called
-  /// with mu_ held.
-  std::optional<Value> try_admit(Transaction& txn, const Operation& op);
-
-  std::vector<std::shared_ptr<Transaction>> blockers(ActivityId self);
-
-  std::int64_t committed_{0};                  // guarded by mu_
-  std::map<ActivityId, TxnEntry> intentions_;  // guarded by mu_
+  /// Dynamic atomicity has no timestamps: a plain <commit,x,a>.
+  [[nodiscard]] Event commit_event(const Transaction& txn,
+                                   Timestamp commit_ts) const override;
 };
 
 }  // namespace argus

@@ -4,145 +4,43 @@ namespace argus {
 
 HybridBag::HybridBag(ObjectId oid, std::string name, TransactionManager& tm,
                      EventSink* recorder)
-    : ObjectBase(oid, std::move(name), tm, recorder) {}
+    : IntentionsObject(oid, std::move(name), tm, recorder,
+                       /*versioned=*/true) {}
 
-Value HybridBag::invoke(Transaction& txn, const Operation& op) {
-  txn.ensure_active();
-  txn.touch(this);
-  sched_point(op);
-  if (txn.read_only()) {
-    return read_snapshot<BagAdt>(txn, op, committed_, log_);
-  }
-  return invoke_update(txn, op);
-}
-
-Value HybridBag::invoke_update(Transaction& txn, const Operation& op) {
-  std::unique_lock lock(mu_);
-  record(argus::invoke(id(), txn.id(), op));
-
-  auto& mine = intentions_[txn.id()];
-  mine.owner = txn.weak_from_this();
-
-  Value result;
+std::optional<Value> HybridBag::try_admit(Transaction& /*txn*/, Entry& mine,
+                                          const Operation& op) {
   if (op.name == "insert" && op.args.size() == 1 && op.args[0].is_int()) {
-    result = ok();
-    mine.ops.push_back(LoggedOp{op, result});
-  } else if (op.name == "remove" && op.args.empty()) {
+    mine.ops.push_back(LoggedOp{op, ok()});
+    return ok();
+  }
+  if (op.name == "remove" && op.args.empty()) {
     // Claim any committed unclaimed instance; the nondeterministic
     // specification makes any choice serially acceptable, and claims
     // are disjoint so concurrent removers never conflict.
-    std::optional<std::int64_t> pick;
-    await(
-        lock, txn, [&] { return (pick = unclaimed_element()).has_value(); },
-        [&] { return blockers(txn.id()); });
-    result = Value{*pick};
-    ++mine.claims[*pick];
-    mine.ops.push_back(LoggedOp{op, result});
-  } else if (op.name == "size" && op.args.empty()) {
+    const std::optional<std::int64_t> pick = unclaimed_element();
+    if (!pick) return std::nullopt;
+    ++mine.extra[*pick];
+    mine.ops.push_back(LoggedOp{op, Value{*pick}});
+    return Value{*pick};
+  }
+  if (op.name == "size" && op.args.empty()) {
     throw UsageError(
         "HybridBag: size is only available to read-only transactions; use "
         "Runtime::begin_read_only");
-  } else {
-    throw UsageError("unknown bag operation " + to_string(op));
   }
-
-  record(respond(id(), txn.id(), result));
-  return result;
+  throw UsageError("unknown bag operation " + to_string(op));
 }
 
 std::optional<std::int64_t> HybridBag::unclaimed_element() const {
-  for (const auto& [elem, count] : committed_) {
+  for (const auto& [elem, count] : committed_.current()) {
     std::int64_t claimed = 0;
     for (const auto& [aid, entry] : intentions_) {
-      auto it = entry.claims.find(elem);
-      if (it != entry.claims.end()) claimed += it->second;
+      auto it = entry.extra.find(elem);
+      if (it != entry.extra.end()) claimed += it->second;
     }
     if (claimed < count) return elem;
   }
   return std::nullopt;
-}
-
-std::vector<std::shared_ptr<Transaction>> HybridBag::blockers(
-    ActivityId self) {
-  std::vector<std::shared_ptr<Transaction>> out;
-  for (const auto& [aid, entry] : intentions_) {
-    if (aid == self || entry.ops.empty()) continue;
-    if (auto t = entry.owner.lock(); t && t->active()) {
-      out.push_back(std::move(t));
-    }
-  }
-  return out;
-}
-
-void HybridBag::prepare(Transaction& txn) { txn.ensure_active(); }
-
-bool HybridBag::reads_snapshot(const Transaction& txn) const {
-  return txn.read_only();
-}
-
-void HybridBag::commit(Transaction& txn, Timestamp commit_ts) {
-  const std::scoped_lock lock(mu_);
-  if (txn.read_only()) {
-    record(argus::commit(id(), txn.id()));
-    return;
-  }
-  auto it = intentions_.find(txn.id());
-  if (it != intentions_.end()) {
-    for (const auto& [elem, count] : it->second.claims) {
-      auto cit = committed_.find(elem);
-      if (cit != committed_.end()) {
-        cit->second -= count;
-        if (cit->second <= 0) committed_.erase(cit);
-      }
-    }
-    for (LoggedOp& logged : it->second.ops) {
-      if (logged.op.name == "insert") {
-        ++committed_[logged.op.args[0].as_int()];
-      }
-      log_.emplace_back(commit_ts, std::move(logged));
-    }
-    intentions_.erase(it);
-  }
-  record(commit_at(id(), txn.id(), commit_ts));
-  notify_object();
-}
-
-void HybridBag::abort(Transaction& txn) {
-  const std::scoped_lock lock(mu_);
-  intentions_.erase(txn.id());  // claims released with the entry
-  record(argus::abort(id(), txn.id()));
-  notify_object();
-}
-
-std::vector<LoggedOp> HybridBag::intentions_of(const Transaction& txn) const {
-  const std::scoped_lock lock(mu_);
-  auto it = intentions_.find(txn.id());
-  return it == intentions_.end() ? std::vector<LoggedOp>{} : it->second.ops;
-}
-
-void HybridBag::reset_for_recovery() {
-  const std::scoped_lock lock(mu_);
-  committed_.clear();
-  log_.clear();
-  intentions_.clear();
-  initiated_.clear();
-  notify_object();
-}
-
-void HybridBag::replay(const ReplayContext& ctx, const LoggedOp& logged) {
-  const std::scoped_lock lock(mu_);
-  if (logged.op.name == "insert") {
-    ++committed_[logged.op.args[0].as_int()];
-  } else if (logged.op.name == "remove" && logged.result.is_int()) {
-    auto it = committed_.find(logged.result.as_int());
-    if (it != committed_.end() && --it->second <= 0) committed_.erase(it);
-  }
-  log_.emplace_back(ctx.commit_ts, logged);
-}
-
-std::map<std::int64_t, std::int64_t> HybridBag::committed_contents() const {
-  const std::scoped_lock lock(mu_);
-  return committed_;
 }
 
 }  // namespace argus

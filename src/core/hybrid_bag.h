@@ -25,55 +25,34 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "core/object_base.h"
+#include "core/intentions.h"
 #include "spec/adts/bag.h"
-#include "txn/stable_log.h"
 
 namespace argus {
 
-class HybridBag final : public ObjectBase {
+/// Committed instances a transaction has claimed: element -> count.
+using BagClaims = std::map<std::int64_t, std::int64_t>;
+
+class HybridBag final : public IntentionsObject<BagAdt, BagClaims> {
  public:
   HybridBag(ObjectId oid, std::string name, TransactionManager& tm,
             EventSink* recorder);
 
-  Value invoke(Transaction& txn, const Operation& op) override;
-  void prepare(Transaction& txn) override;
-  [[nodiscard]] bool reads_snapshot(const Transaction& txn) const override;
-  void commit(Transaction& txn, Timestamp commit_ts) override;
-  void abort(Transaction& txn) override;
-  [[nodiscard]] std::vector<LoggedOp> intentions_of(
-      const Transaction& txn) const override;
-  void reset_for_recovery() override;
-  void replay(const ReplayContext& ctx, const LoggedOp& logged) override;
-
   /// Test hook: committed contents (element -> multiplicity).
-  [[nodiscard]] std::map<std::int64_t, std::int64_t> committed_contents()
-      const;
+  [[nodiscard]] BagAdt::State committed_contents() const {
+    return committed_state();
+  }
 
  private:
-  struct TxnEntry {
-    std::weak_ptr<Transaction> owner;
-    std::vector<LoggedOp> ops;
-    std::map<std::int64_t, std::int64_t> claims;  // committed instances held
-  };
-
-  Value invoke_update(Transaction& txn, const Operation& op);
+  std::optional<Value> try_admit(Transaction& txn, Entry& mine,
+                                 const Operation& op) override;
 
   /// Smallest committed element with an unclaimed instance; nullopt when
   /// every instance is claimed or the bag is empty. Called with mu_ held.
   [[nodiscard]] std::optional<std::int64_t> unclaimed_element() const;
-
-  std::vector<std::shared_ptr<Transaction>> blockers(ActivityId self);
-
-  BagAdt::State committed_;                    // guarded by mu_
-  CommittedLog log_;                           // guarded by mu_
-  std::map<ActivityId, TxnEntry> intentions_;  // guarded by mu_
 };
 
 }  // namespace argus

@@ -5,48 +5,35 @@ namespace argus {
 HybridFifoQueue::HybridFifoQueue(ObjectId oid, std::string name,
                                  TransactionManager& tm,
                                  EventSink* recorder)
-    : ObjectBase(oid, std::move(name), tm, recorder) {}
+    : IntentionsObject(oid, std::move(name), tm, recorder,
+                       /*versioned=*/true) {}
 
-Value HybridFifoQueue::invoke(Transaction& txn, const Operation& op) {
-  txn.ensure_active();
-  txn.touch(this);
-  sched_point(op);
-  if (txn.read_only()) {
-    return read_snapshot<FifoQueueAdt>(txn, op, committed_, log_);
-  }
-  return invoke_update(txn, op);
-}
-
-Value HybridFifoQueue::invoke_update(Transaction& txn, const Operation& op) {
-  std::unique_lock lock(mu_);
-  record(argus::invoke(id(), txn.id(), op));
-
-  auto& mine = intentions_[txn.id()];
-  mine.owner = txn.weak_from_this();
-
-  Value result;
+std::optional<Value> HybridFifoQueue::try_admit(Transaction& txn,
+                                                Entry& mine,
+                                                const Operation& op) {
   if (op.name == "enqueue" && op.args.size() == 1 && op.args[0].is_int()) {
     // Enqueues never conflict: ordering is fixed at commit.
-    result = ok();
-    mine.ops.push_back(LoggedOp{op, result});
-  } else if (op.name == "dequeue" && op.args.empty()) {
+    mine.ops.push_back(LoggedOp{op, ok()});
+    return ok();
+  }
+  if (op.name == "dequeue" && op.args.empty()) {
     // A dequeue may only consume a *committed* item: the transaction's
     // own tentative enqueues cannot be served, because another
     // transaction's enqueue could commit first and would then precede
     // them in the queue. While the visible committed remainder is empty,
     // or another transaction holds tentative dequeues (its abort would
-    // restore the front), wait.
-    await(
-        lock, txn,
-        [&] {
-          return !other_has_tentative_dequeue(txn.id()) &&
-                 mine.dequeued < committed_.size();
-        },
-        [&] { return dequeue_blockers(txn.id()); });
-    result = Value{committed_[mine.dequeued]};
+    // restore the front), wait. `mine.extra` counts the committed items
+    // this transaction already holds.
+    const auto& committed = committed_.current();
+    if (other_has_tentative_dequeue(txn.id()) ||
+        mine.extra >= committed.size()) {
+      return std::nullopt;
+    }
+    const Value result{committed[mine.extra++]};
     mine.ops.push_back(LoggedOp{op, result});
-    ++mine.dequeued;
-  } else if (op.name == "size" && op.args.empty()) {
+    return result;
+  }
+  if (op.name == "size" && op.args.empty()) {
     // A size result pins the whole queue contents at this transaction's
     // commit position, which later committers could invalidate; the
     // commit-order queue therefore only offers size to read-only
@@ -54,100 +41,15 @@ Value HybridFifoQueue::invoke_update(Transaction& txn, const Operation& op) {
     throw UsageError(
         "HybridFifoQueue: size is only available to read-only "
         "transactions; use Runtime::begin_read_only");
-  } else {
-    throw UsageError("unknown queue operation " + to_string(op));
   }
-
-  record(respond(id(), txn.id(), result));
-  return result;
+  throw UsageError("unknown queue operation " + to_string(op));
 }
 
 bool HybridFifoQueue::other_has_tentative_dequeue(ActivityId self) const {
   for (const auto& [aid, entry] : intentions_) {
-    if (aid != self && entry.dequeued > 0) return true;
+    if (aid != self && entry.extra > 0) return true;
   }
   return false;
-}
-
-std::vector<std::shared_ptr<Transaction>> HybridFifoQueue::dequeue_blockers(
-    ActivityId self) {
-  std::vector<std::shared_ptr<Transaction>> out;
-  for (const auto& [aid, entry] : intentions_) {
-    if (aid == self || entry.ops.empty()) continue;
-    if (auto t = entry.owner.lock(); t && t->active()) {
-      out.push_back(std::move(t));
-    }
-  }
-  return out;
-}
-
-void HybridFifoQueue::prepare(Transaction& txn) { txn.ensure_active(); }
-
-bool HybridFifoQueue::reads_snapshot(const Transaction& txn) const {
-  return txn.read_only();
-}
-
-void HybridFifoQueue::commit(Transaction& txn, Timestamp commit_ts) {
-  const std::scoped_lock lock(mu_);
-  if (txn.read_only()) {
-    record(argus::commit(id(), txn.id()));
-    return;
-  }
-  auto it = intentions_.find(txn.id());
-  if (it != intentions_.end()) {
-    // Apply: drop the committed items this transaction dequeued, then
-    // append its enqueues in its execution order.
-    const std::size_t drop = std::min(it->second.dequeued, committed_.size());
-    committed_.erase(committed_.begin(),
-                     committed_.begin() + static_cast<std::ptrdiff_t>(drop));
-    for (LoggedOp& logged : it->second.ops) {
-      if (logged.op.name == "enqueue") {
-        committed_.push_back(logged.op.args[0].as_int());
-      }
-      log_.emplace_back(commit_ts, std::move(logged));
-    }
-    intentions_.erase(it);
-  }
-  record(commit_at(id(), txn.id(), commit_ts));
-  notify_object();
-}
-
-void HybridFifoQueue::abort(Transaction& txn) {
-  const std::scoped_lock lock(mu_);
-  intentions_.erase(txn.id());
-  record(argus::abort(id(), txn.id()));
-  notify_object();
-}
-
-std::vector<LoggedOp> HybridFifoQueue::intentions_of(
-    const Transaction& txn) const {
-  const std::scoped_lock lock(mu_);
-  auto it = intentions_.find(txn.id());
-  return it == intentions_.end() ? std::vector<LoggedOp>{} : it->second.ops;
-}
-
-void HybridFifoQueue::reset_for_recovery() {
-  const std::scoped_lock lock(mu_);
-  committed_.clear();
-  log_.clear();
-  intentions_.clear();
-  initiated_.clear();
-  notify_object();
-}
-
-void HybridFifoQueue::replay(const ReplayContext& ctx, const LoggedOp& logged) {
-  const std::scoped_lock lock(mu_);
-  if (logged.op.name == "enqueue") {
-    committed_.push_back(logged.op.args[0].as_int());
-  } else if (logged.op.name == "dequeue" && !committed_.empty()) {
-    committed_.erase(committed_.begin());
-  }
-  log_.emplace_back(ctx.commit_ts, logged);
-}
-
-std::vector<std::int64_t> HybridFifoQueue::committed_items() const {
-  const std::scoped_lock lock(mu_);
-  return committed_;
 }
 
 }  // namespace argus

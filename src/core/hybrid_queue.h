@@ -22,53 +22,35 @@
 // producer/consumer workload.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "core/object_base.h"
+#include "core/intentions.h"
 #include "spec/adts/fifo_queue.h"
-#include "txn/stable_log.h"
 
 namespace argus {
 
-class HybridFifoQueue final : public ObjectBase {
+/// Each intentions entry's extra state counts the committed items its
+/// transaction has dequeued tentatively (from the front, in order).
+class HybridFifoQueue final
+    : public IntentionsObject<FifoQueueAdt, std::size_t> {
  public:
   HybridFifoQueue(ObjectId oid, std::string name, TransactionManager& tm,
                   EventSink* recorder);
 
-  Value invoke(Transaction& txn, const Operation& op) override;
-  void prepare(Transaction& txn) override;
-  [[nodiscard]] bool reads_snapshot(const Transaction& txn) const override;
-  void commit(Transaction& txn, Timestamp commit_ts) override;
-  void abort(Transaction& txn) override;
-  [[nodiscard]] std::vector<LoggedOp> intentions_of(
-      const Transaction& txn) const override;
-  void reset_for_recovery() override;
-  void replay(const ReplayContext& ctx, const LoggedOp& logged) override;
-
   /// Test hook: the committed queue contents.
-  [[nodiscard]] std::vector<std::int64_t> committed_items() const;
+  [[nodiscard]] std::vector<std::int64_t> committed_items() const {
+    return committed_state();
+  }
 
  private:
-  struct TxnEntry {
-    std::weak_ptr<Transaction> owner;
-    std::vector<LoggedOp> ops;  // enqueue/dequeue in execution order
-    std::size_t dequeued{0};    // how many committed items it holds tentatively
-  };
-
-  Value invoke_update(Transaction& txn, const Operation& op);
+  std::optional<Value> try_admit(Transaction& txn, Entry& mine,
+                                 const Operation& op) override;
 
   [[nodiscard]] bool other_has_tentative_dequeue(ActivityId self) const;
-  std::vector<std::shared_ptr<Transaction>> dequeue_blockers(ActivityId self);
-
-  FifoQueueAdt::State committed_;              // guarded by mu_
-  CommittedLog log_;                           // guarded by mu_
-  std::map<ActivityId, TxnEntry> intentions_;  // guarded by mu_
 };
 
 }  // namespace argus

@@ -136,25 +136,19 @@ class ObjectBase : public ManagedObject {
     }
   }
 
-  /// A read-only activity's invocation against a timestamp-ordered
-  /// committed log (hybrid atomicity's snapshot read, §4.3): `op` is
-  /// evaluated at the state below the activity's timestamp, see
-  /// snapshot_state(). Takes mu_ (`committed` and `log` are guarded by
-  /// it); never blocks and never aborts.
+  /// A read-only activity's query against a versioned committed state
+  /// (hybrid atomicity's snapshot read, §4.3): `op` is evaluated at the
+  /// state below the activity's timestamp, see VersionedState::at().
+  /// Takes mu_ (`store` is guarded by it); never blocks and never
+  /// aborts.
   template <AdtTraits A>
   Value read_snapshot(Transaction& txn, const Operation& op,
-                      const typename A::State& committed,
-                      const CommittedLog& log) {
-    if (!A::is_read_only(op)) {
-      throw UsageError("read-only transaction invoked mutator " +
-                       to_string(op) + " on " + name_);
-    }
+                      const VersionedState<A>& store) {
     const std::scoped_lock lock(mu_);
     record_initiate(txn);
     record(argus::invoke(id_, txn.id(), op));
     typename A::State scratch;
-    const auto outcomes =
-        A::step(snapshot_state<A>(committed, log, txn.start_ts(), scratch), op);
+    const auto outcomes = A::step(store.at(txn.start_ts(), scratch), op);
     if (outcomes.empty()) {
       throw UsageError("read-only operation " + to_string(op) +
                        " not enabled at snapshot of " + name_);

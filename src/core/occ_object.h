@@ -15,13 +15,15 @@
 // retry. A fast path skips the replay when the object's committed version
 // counter has not moved since the transaction's first access.
 //
-// kMultiVersion storage (the MVCC/snapshot-read mode) additionally keeps
-// the committed operations as a timestamp-keyed version log, exactly like
-// HybridAtomicObject's: read-only transactions read the committed state
-// strictly below their initiation timestamp (core/snapshot.h) — they take
-// no buffers, never validate, never abort and commit without the update
-// pipeline, the same audit fast path hybrid atomicity provides (§4.3.3),
-// here grafted onto an OCC update path.
+// The buffers are an intentions table (core/intentions.h) whose admission
+// rule admits at once. kMultiVersion storage (the MVCC/snapshot-read
+// mode) additionally keeps the committed operations as a timestamp-keyed
+// version log, exactly like HybridAtomicObject's: read-only transactions
+// read the committed state strictly below their initiation timestamp
+// (core/snapshot.h) — they take no buffers, never validate, never abort
+// and commit without the update pipeline, the same audit fast path
+// hybrid atomicity provides (§4.3.3), here grafted onto an OCC update
+// path.
 //
 // Either way the committed history is hybrid atomic by construction:
 // updates carry <commit(t),x,a> at their commit timestamp and serialize
@@ -30,13 +32,14 @@
 // standard hybrid checkers certify both modes unchanged.
 #pragma once
 
-#include <map>
-#include <memory>
+#include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/object_base.h"
+#include "core/intentions.h"
 #include "core/validation.h"
 #include "spec/adt_spec.h"
 
@@ -47,32 +50,24 @@ enum class OccStorage {
   kMultiVersion,   // MVCC: + timestamp-keyed version log for snapshot reads
 };
 
+/// An OCC buffer's extra state: the committed version it was read from.
+struct OccReadVersion {
+  std::uint64_t version{0};
+};
+
 template <AdtTraits A>
-class OccAtomicObject final : public ObjectBase {
+class OccAtomicObject final : public IntentionsObject<A, OccReadVersion> {
+  using Base = IntentionsObject<A, OccReadVersion>;
+  using typename Base::Entry;
+  using Base::committed_;
+  using Base::intentions_;
+  using Base::mu_;
+
  public:
   OccAtomicObject(ObjectId oid, std::string name, TransactionManager& tm,
                   EventSink* recorder, OccStorage storage)
-      : ObjectBase(oid, std::move(name), tm, recorder), storage_(storage) {}
-
-  [[nodiscard]] OccStorage storage() const { return storage_; }
-
-  Value invoke(Transaction& txn, const Operation& op) override {
-    txn.ensure_active();
-    txn.touch(this);
-    sched_point(op);
-    if (reads_snapshot(txn)) {
-      // Snapshot read: the version log is timestamp-ordered exactly like
-      // HybridAtomicObject's committed log.
-      const Value result = read_snapshot<A>(txn, op, committed_, versions_);
-      txn.note_access(id(), /*write=*/false);
-      return result;
-    }
-    if (txn.read_only() && !A::is_read_only(op)) {
-      throw UsageError("read-only transaction invoked mutator " +
-                       to_string(op) + " on " + name());
-    }
-    return invoke_optimistic(txn, op);
-  }
+      : Base(oid, std::move(name), tm, recorder,
+             /*versioned=*/storage == OccStorage::kMultiVersion) {}
 
   /// Preliminary backward validation: a cheap early reject for
   /// transactions that have already lost, saving them the timestamp draw
@@ -81,16 +76,10 @@ class OccAtomicObject final : public ObjectBase {
   void prepare(Transaction& txn) override {
     txn.ensure_active();
     const std::scoped_lock lock(mu_);
-    auto it = entries_.find(txn.id());
-    if (it == entries_.end() || it->second.base_version == version_) return;
-    if (replay_logged<A>({committed_}, it->second.ops).empty()) {
+    if (!still_valid(txn)) {
       txn.doom(AbortReason::kValidation);
       throw TransactionAborted(txn.id(), AbortReason::kValidation);
     }
-  }
-
-  [[nodiscard]] bool reads_snapshot(const Transaction& txn) const override {
-    return storage_ == OccStorage::kMultiVersion && txn.read_only();
   }
 
   /// Optimistic objects admit every invocation at once and settle
@@ -101,87 +90,26 @@ class OccAtomicObject final : public ObjectBase {
       const Transaction& txn) const override {
     // Snapshot readers are abort-free by construction; everyone else
     // must survive validate-at-commit.
-    return !reads_snapshot(txn);
+    return !this->reads_snapshot(txn);
   }
 
   void validate_serial(Transaction& txn) override {
     const std::scoped_lock lock(mu_);
-    auto it = entries_.find(txn.id());
-    if (it == entries_.end()) return;
-    if (it->second.base_version == version_) return;  // nothing moved
-    if (replay_logged<A>({committed_}, it->second.ops).empty()) {
+    if (!still_valid(txn)) {
       throw TransactionAborted(txn.id(), AbortReason::kValidation);
     }
   }
 
-  void commit(Transaction& txn, Timestamp commit_ts) override {
-    const std::scoped_lock lock(mu_);
-    if (reads_snapshot(txn)) {
-      record(argus::commit(id(), txn.id()));
-      return;
-    }
-    auto it = entries_.find(txn.id());
-    if (it != entries_.end()) {
-      auto states = replay_logged<A>({committed_}, it->second.ops);
-      if (states.empty()) {
-        throw UsageError("validated OCC commit diverged at " + name());
-      }
-      committed_ = std::move(states.front());
-      bool wrote = false;
-      for (LoggedOp& logged : it->second.ops) {
-        if (!A::is_read_only(logged.op)) wrote = true;
-        if (storage_ == OccStorage::kMultiVersion) {
-          versions_.emplace_back(commit_ts, std::move(logged));
-        }
-      }
-      if (wrote) ++version_;
-      entries_.erase(it);
-    }
-    record(commit_at(id(), txn.id(), commit_ts));
-    notify_object();
-  }
-
-  void abort(Transaction& txn) override {
-    const std::scoped_lock lock(mu_);
-    entries_.erase(txn.id());
-    record(argus::abort(id(), txn.id()));
-    notify_object();
-  }
-
-  [[nodiscard]] std::vector<LoggedOp> intentions_of(
-      const Transaction& txn) const override {
-    const std::scoped_lock lock(mu_);
-    auto it = entries_.find(txn.id());
-    return it == entries_.end() ? std::vector<LoggedOp>{} : it->second.ops;
-  }
-
   void reset_for_recovery() override {
+    Base::reset_for_recovery();
     const std::scoped_lock lock(mu_);
-    committed_ = A::initial();
     version_ = 0;
-    versions_.clear();
-    entries_.clear();
-    initiated_.clear();
-    notify_object();
   }
 
   void replay(const ReplayContext& ctx, const LoggedOp& logged) override {
+    Base::replay(ctx, logged);
     const std::scoped_lock lock(mu_);
-    auto states = replay_logged<A>({committed_}, {logged});
-    if (states.empty()) {
-      throw UsageError("recovery replay diverged at " + name() + " for " +
-                       to_string(logged.op));
-    }
-    committed_ = std::move(states.front());
     if (!A::is_read_only(logged.op)) ++version_;
-    if (storage_ == OccStorage::kMultiVersion) {
-      versions_.emplace_back(ctx.commit_ts, logged);
-    }
-  }
-
-  [[nodiscard]] typename A::State committed_state() const {
-    const std::scoped_lock lock(mu_);
-    return committed_;
   }
 
   /// Committed mutations so far (the validation fast path's clock).
@@ -191,21 +119,22 @@ class OccAtomicObject final : public ObjectBase {
   }
 
  private:
-  struct TxnEntry {
-    std::vector<LoggedOp> ops;
-    std::uint64_t base_version{0};  // version_ at first access
-  };
+  /// Whether txn's buffered results still reproduce at the committed
+  /// state; skips the replay when nothing committed since its first
+  /// buffered operation. Called with mu_ held.
+  [[nodiscard]] bool still_valid(const Transaction& txn) const {
+    const Entry* mine = intentions_.find(txn.id());
+    return mine == nullptr || mine->extra.version == version_ ||
+           !replay_logged<A>({committed_.current()}, mine->ops).empty();
+  }
 
-  Value invoke_optimistic(Transaction& txn, const Operation& op) {
-    const std::scoped_lock lock(mu_);
-    record(argus::invoke(id(), txn.id(), op));
-
-    auto [it, inserted] = entries_.try_emplace(txn.id());
-    if (inserted) it->second.base_version = version_;
+  std::optional<Value> try_admit(Transaction& txn, Entry& mine,
+                                 const Operation& op) override {
+    if (mine.ops.empty()) mine.extra.version = version_;
 
     // The optimistic view: committed state + this transaction's buffer.
     // Results handed out here are provisional until validate_serial.
-    auto view = replay_logged<A>({committed_}, it->second.ops);
+    auto view = replay_logged<A>({committed_.current()}, mine.ops);
     if (view.empty()) {
       // A committed mutation already invalidated the buffer mid-run; no
       // result we hand out can survive validation, so fail fast.
@@ -221,17 +150,24 @@ class OccAtomicObject final : public ObjectBase {
       throw TransactionAborted(txn.id(), AbortReason::kValidation);
     }
     const Value result = outcomes.front().first;
-    it->second.ops.push_back(LoggedOp{op, result});
-    txn.note_access(id(), !A::is_read_only(op));
-    record(respond(id(), txn.id(), result));
+    mine.ops.push_back(LoggedOp{op, result});
+    txn.note_access(this->id(), !A::is_read_only(op));
     return result;
   }
 
-  const OccStorage storage_;
-  typename A::State committed_ = A::initial();  // guarded by mu_
-  std::uint64_t version_{0};                    // committed mutations
-  CommittedLog versions_;                       // kMultiVersion only
-  std::map<ActivityId, TxnEntry> entries_;      // guarded by mu_
+  /// Validation ran at this very serialization point, so the fold must
+  /// reproduce.
+  void fold(Timestamp commit_ts, std::vector<LoggedOp> ops) override {
+    const bool wrote = std::any_of(ops.begin(), ops.end(), [](const auto& l) {
+      return !A::is_read_only(l.op);
+    });
+    if (!committed_.apply(commit_ts, std::move(ops))) {
+      throw UsageError("validated OCC commit diverged at " + this->name());
+    }
+    if (wrote) ++version_;
+  }
+
+  std::uint64_t version_{0};  // committed mutations; guarded by mu_
 };
 
 }  // namespace argus

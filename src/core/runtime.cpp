@@ -65,19 +65,6 @@ AtomicitySentinel& Runtime::start_sentinel(SentinelOptions options) {
     throw UsageError("start_sentinel requires RecorderMode::kFlight");
   }
   if (sentinel_) throw UsageError("sentinel already running");
-  // Runtime-level defaults fill any field the caller left at its
-  // built-in default.
-  const SentinelOptions builtin;
-  if (options.window == builtin.window) {
-    options.window = sentinel_defaults_.window;
-  }
-  if (options.checkpoint_threshold == builtin.checkpoint_threshold) {
-    options.checkpoint_threshold = sentinel_defaults_.checkpoint_threshold;
-  }
-  if (options.mode == builtin.mode) options.mode = sentinel_defaults_.mode;
-  if (!options.on_violation && sentinel_defaults_.on_violation) {
-    options.on_violation = sentinel_defaults_.on_violation;
-  }
   if (wait_policy_ != nullptr) options.wait_policy = wait_policy_;
   sentinel_ = std::make_unique<AtomicitySentinel>(
       *flight_, system_, std::move(options), metrics_.get());

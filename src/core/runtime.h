@@ -119,18 +119,6 @@ class Runtime {
   /// snapshots the system spec). Returns the running sentinel.
   AtomicitySentinel& start_sentinel(SentinelOptions options = {});
 
-  /// Runtime-level sentinel defaults: any SentinelOptions field left at
-  /// its built-in default in a later start_sentinel() call is filled
-  /// from here, making window, checkpoint_threshold and check mode
-  /// first-class runtime configuration (deploy-time policy) instead of
-  /// per-call-site arguments.
-  void set_sentinel_defaults(SentinelOptions defaults) {
-    sentinel_defaults_ = std::move(defaults);
-  }
-  [[nodiscard]] const SentinelOptions& sentinel_defaults() const {
-    return sentinel_defaults_;
-  }
-
   /// Stops and destroys the sentinel, if one is running (its final
   /// window flushes whatever the recorder still holds).
   void stop_sentinel();
@@ -271,7 +259,6 @@ class Runtime {
   std::unique_ptr<FlightRecorder> flight_;  // kFlight mode
   std::unique_ptr<MetricsRegistry> metrics_;
   std::unique_ptr<AtomicitySentinel> sentinel_;
-  SentinelOptions sentinel_defaults_;
   SystemSpec system_;
   std::string crash_dump_path_;
   std::size_t crash_dump_events_{4096};

@@ -468,14 +468,19 @@ void DistRuntime::commit_two_phase(DistTxn& t) {
     observe_us(prepare_round_us_, round_start);
     // Complete in site order; a failed force vetoes, and the participants
     // whose records did stabilize are prepared (abort_parts drops them).
+    // The veto names the first failure as its participant saw it: a force
+    // that ran out of retries is an I/O error; a dropped record, or any
+    // failure at a site that is down, is unavailability.
     std::size_t i = 0;
     for (auto& [idx, part] : t.parts_) {
       part.staged = false;
-      if (sites_[idx]->tm().complete_prepare(part.txn, forced[i++])) {
+      const AppendResult result = forced[i++];
+      if (sites_[idx]->tm().complete_prepare(part.txn, result)) {
         part.prepared = true;
       } else if (!veto.has_value()) {
-        veto = sites_[idx]->up() ? AbortReason::kValidation
-                                 : AbortReason::kUnavailable;
+        veto = result == AppendResult::kIoError && sites_[idx]->up()
+                   ? AbortReason::kIoError
+                   : AbortReason::kUnavailable;
       }
     }
   }

@@ -13,6 +13,18 @@
 //     static std::string describe(const State&);
 //   };
 //
+// An Adt may also supply
+//
+//     static bool redo(State& s, const Operation& op, const Value& result);
+//
+// which applies op in place when some outcome of step(s, op) has `result`
+// (that outcome's successor must be the only one with that result) and
+// returns true, or returns false leaving s unchanged. The committed-state
+// fold (core/snapshot.h) then redoes committed operations in place
+// instead of filtering step()'s outcomes, each a copy of the state: the
+// bag (one outcome per distinct element) and the queue (a long vector)
+// supply it.
+//
 // The runtime protocol templates (src/core) operate directly on Adt to
 // avoid virtual dispatch and state cloning through pointers; the checker
 // layer uses AdtSpec<Adt> to reach the same semantics through the virtual

@@ -36,6 +36,25 @@ Outcomes<BagAdt::State> BagAdt::step(const State& s,
   return {};
 }
 
+bool BagAdt::redo(State& s, const Operation& operation, const Value& result) {
+  if (operation.name == "insert" && operation.args.size() == 1 &&
+      operation.args[0].is_int() && result == ok()) {
+    ++s[operation.args[0].as_int()];
+    return true;
+  }
+  if (operation.name == "remove" && operation.args.empty() &&
+      result.is_int()) {
+    auto it = s.find(result.as_int());
+    if (it == s.end()) return false;
+    if (--it->second == 0) s.erase(it);
+    return true;
+  }
+  if (operation.name == "size" && operation.args.empty()) {
+    return result == step(s, operation).front().first;
+  }
+  return false;
+}
+
 bool BagAdt::is_read_only(const Operation& op) { return op.name == "size"; }
 
 bool BagAdt::static_commutes(const Operation& p, const Operation& q) {

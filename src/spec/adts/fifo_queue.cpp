@@ -23,6 +23,22 @@ Outcomes<FifoQueueAdt::State> FifoQueueAdt::step(const State& s,
   return {};
 }
 
+bool FifoQueueAdt::redo(State& s, const Operation& operation,
+                        const Value& result) {
+  if (operation.name == "enqueue" && operation.args.size() == 1 &&
+      operation.args[0].is_int() && result == ok()) {
+    s.push_back(operation.args[0].as_int());
+    return true;
+  }
+  if (operation.name == "dequeue" && operation.args.empty() && !s.empty() &&
+      result == Value{s.front()}) {
+    s.erase(s.begin());
+    return true;
+  }
+  return operation.name == "size" && operation.args.empty() &&
+         result == Value{static_cast<std::int64_t>(s.size())};
+}
+
 bool FifoQueueAdt::is_read_only(const Operation& op) {
   return op.name == "size";
 }

@@ -24,6 +24,7 @@ struct FifoQueueAdt {
 
   static State initial() { return {}; }
   static Outcomes<State> step(const State& s, const Operation& op);
+  static bool redo(State& s, const Operation& op, const Value& result);
   static bool is_read_only(const Operation& op);
   static bool static_commutes(const Operation& p, const Operation& q);
   static std::string type_name() { return "fifo_queue"; }

@@ -5,6 +5,7 @@
 
 #include "core/runtime.h"
 #include "sched/factory.h"
+#include "spec/adts/bag.h"
 #include "spec/adts/bank_account.h"
 #include "spec/adts/fifo_queue.h"
 #include "spec/adts/int_set.h"
@@ -138,6 +139,34 @@ TEST(Recovery, RepeatedCrashesIdempotent) {
     rt.recover();
   }
   EXPECT_TRUE(set->committed_state().contains(1));
+}
+
+TEST(Recovery, BagAndQueueReplayRejectsResultsThatDoNotReproduce) {
+  // Recovery replays the type-specific objects through their
+  // specification: a remove or dequeue record whose recorded result is
+  // not what the replayed state yields is a corrupt log, not a no-op.
+  Runtime rt(Runtime::RecorderMode::kOff);
+  auto bag = rt.create_hybrid_bag("bag");
+  auto queue = rt.create_hybrid_queue("queue");
+  const ReplayContext ctx{ActivityId{1}, 1, 1};
+  bag->reset_for_recovery();
+  queue->reset_for_recovery();
+  bag->replay(ctx, LoggedOp{bag::insert(1), ok()});
+  queue->replay(ctx, LoggedOp{fifo::enqueue(1), ok()});
+  queue->replay(ctx, LoggedOp{fifo::enqueue(2), ok()});
+
+  EXPECT_THROW(bag->replay(ctx, LoggedOp{bag::remove(), Value{2}}),
+               UsageError);  // the bag holds no 2
+  EXPECT_THROW(queue->replay(ctx, LoggedOp{fifo::dequeue(), Value{2}}),
+               UsageError);  // the front is 1
+  EXPECT_EQ(bag->committed_contents(), (BagAdt::State{{1, 1}}));
+  EXPECT_EQ(queue->committed_items(), (std::vector<std::int64_t>{1, 2}));
+
+  // Records that do reproduce still replay.
+  bag->replay(ctx, LoggedOp{bag::remove(), Value{1}});
+  queue->replay(ctx, LoggedOp{fifo::dequeue(), Value{1}});
+  EXPECT_TRUE(bag->committed_contents().empty());
+  EXPECT_EQ(queue->committed_items(), (std::vector<std::int64_t>{2}));
 }
 
 TEST(Recovery, LogRecordsCarryResults) {

@@ -1,18 +1,19 @@
 // Snapshot reads (core/snapshot.h) against a full prefix replay.
 //
-// snapshot_state answers from the committed state when the committed log
-// holds nothing at or above the reader's timestamp t, and replays the
-// prefix below t in place otherwise. Both paths must agree with the
-// reference: the candidate states reached by replaying a copy of the
-// prefix below t from the initial state. Random committed logs over
-// every ADT, with t below, between, on and above the entries; then the
-// same differential through the objects that use the helper, where the
-// reference prefix comes from the stable log.
+// VersionedState::at answers from the current state when the log holds
+// nothing at or above the reader's timestamp t, and replays the prefix
+// below t otherwise. Both paths must agree with the reference: the
+// candidate states reached by replaying a copy of the prefix below t from
+// the initial state. Random committed histories over every ADT, applied
+// transaction by transaction, with t below, between, on and above the
+// entries; then the same differential through the objects that keep a
+// VersionedState, where the reference prefix comes from the stable log.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/random_history.h"
@@ -45,11 +46,13 @@ TYPED_TEST(SnapshotStateTest, MatchesFullPrefixReplay) {
   int fast = 0;
   int replayed = 0;
   for (int round = 0; round < 200; ++round) {
-    // A random committed log: each entry a serially valid step from the
-    // committed state, with a random outcome where the ADT is
-    // nondeterministic. Timestamps grow with gaps, and consecutive
-    // entries may share one (a transaction's several operations).
-    CommittedLog log;
+    // A random committed history: each operation a serially valid step
+    // from the state so far, with a random outcome where the ADT is
+    // nondeterministic. Timestamps grow with gaps; the operations sharing
+    // one timestamp form one transaction, applied together.
+    VersionedState<A> store(/*keeps_log=*/true);
+    std::vector<std::pair<Timestamp, LoggedOp>> history;
+    std::vector<LoggedOp> txn;
     typename A::State committed = A::initial();
     Timestamp ts = 1;
     const int length = static_cast<int>(rng.below(16));
@@ -58,30 +61,40 @@ TYPED_TEST(SnapshotStateTest, MatchesFullPrefixReplay) {
       auto outcomes = A::step(committed, o);
       if (outcomes.empty()) continue;
       auto& [result, next] = outcomes[rng.below(outcomes.size())];
-      ts += rng.below(3);
-      log.emplace_back(ts, LoggedOp{o, result});
+      const Timestamp at = ts + rng.below(3);
+      if (at != ts && !txn.empty()) {
+        ASSERT_TRUE(store.apply(ts, std::move(txn)));
+        txn.clear();
+      }
+      ts = at;
+      txn.push_back(LoggedOp{o, result});
+      history.emplace_back(ts, txn.back());
       committed = std::move(next);
     }
+    if (!txn.empty()) {
+      ASSERT_TRUE(store.apply(ts, std::move(txn)));
+    }
+    ASSERT_EQ(store.current(), committed) << A::describe(store.current());
 
     for (Timestamp t = 0; t <= ts + 2; ++t) {
       std::vector<LoggedOp> prefix;
-      for (const auto& [entry_ts, logged] : log) {
+      for (const auto& [entry_ts, logged] : history) {
         if (entry_ts < t) prefix.push_back(logged);
       }
       const auto expected = replay_logged<A>({A::initial()}, prefix);
       ASSERT_FALSE(expected.empty());
 
       typename A::State scratch = A::initial();
-      const typename A::State& got =
-          snapshot_state<A>(committed, log, t, scratch);
+      const typename A::State& got = store.at(t, scratch);
       EXPECT_NE(std::find(expected.begin(), expected.end(), got),
                 expected.end())
           << A::type_name() << " snapshot at t=" << t << " is "
           << A::describe(got) << ", not a replay candidate";
-      const bool nothing_at_or_above_t = log.empty() || log.back().first < t;
-      // The fast path answers from the committed state itself, without
-      // a copy; the other path answers from the replay.
-      EXPECT_EQ(&got == &committed, nothing_at_or_above_t);
+      const bool nothing_at_or_above_t =
+          history.empty() || history.back().first < t;
+      // The fast path answers from the current state itself, without a
+      // copy; the other path answers from the replay.
+      EXPECT_EQ(&got == &store.current(), nothing_at_or_above_t);
       (nothing_at_or_above_t ? fast : replayed)++;
     }
   }
@@ -89,15 +102,32 @@ TYPED_TEST(SnapshotStateTest, MatchesFullPrefixReplay) {
   EXPECT_GT(replayed, 0);
 }
 
-TEST(SnapshotState, UnreplayablePrefixThrows) {
-  CommittedLog log;
-  log.emplace_back(1, LoggedOp{account::withdraw(5), ok()});
-  log.emplace_back(2, LoggedOp{account::deposit(1), ok()});
-  std::int64_t scratch = 0;
-  const std::int64_t committed = 1;
-  EXPECT_THROW(
-      (void)snapshot_state<BankAccountAdt>(committed, log, 2, scratch),
-      UsageError);
+TYPED_TEST(SnapshotStateTest, UnreplayablePrefixThrows) {
+  // An operation whose recorded result no outcome reproduces: apply
+  // refuses it and changes nothing, and recovery replay throws. The bag
+  // and the queue fold through their redo(), the others through step().
+  using A = TypeParam;
+  SplitMix64 rng(0xbad + A::type_name().size());
+  Operation o = random_operation(A::type_name(), rng);
+  while (A::step(A::initial(), o).empty()) {
+    o = random_operation(A::type_name(), rng);
+  }
+  const LoggedOp bad{o, Value{"no such result"}};
+
+  VersionedState<A> store(/*keeps_log=*/true);
+  EXPECT_FALSE(store.apply(1, {bad}));
+  EXPECT_EQ(store.current(), A::initial());
+  typename A::State scratch = A::initial();
+  EXPECT_EQ(&store.at(1, scratch), &store.current());  // nothing logged
+  EXPECT_THROW(store.replay(1, bad), UsageError);
+  EXPECT_EQ(store.current(), A::initial());
+
+  // Behind a valid operation: still refused and not logged. A redo()
+  // fold has applied the valid one in place; a candidate fold has not.
+  const auto [result, after_good] = A::step(A::initial(), o).front();
+  EXPECT_FALSE(store.apply(1, {LoggedOp{o, result}, bad}));
+  EXPECT_EQ(&store.at(1, scratch), &store.current());
+  EXPECT_EQ(store.current(), HasRedo<A> ? after_good : A::initial());
 }
 
 /// `update(rng, committed, first)` draws an update operation. Blocking
